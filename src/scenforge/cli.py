@@ -135,7 +135,10 @@ def cmd_gen_scenic(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return RUN_ERROR
     difficulty = classify_report(report)
-    result = run_report(report, config, gateway, retrieval)
+    try:
+        result = run_report(report, config, gateway, retrieval)
+    finally:
+        gateway.close()
     write_run_result(result, args.out)
     print(
         f"{report.id} success={result.success} wall={result.wall_seconds:.3f}s "
@@ -161,8 +164,11 @@ def cmd_run_corpus(args) -> int:
         return run_report(report, config, gateway, retrieval)
 
     jobs = max(1, args.jobs)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(run_one, reports))
+    try:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(run_one, reports))
+    finally:
+        gateway.close()
     for result in results:
         write_run_result(result, args.out)
     results.sort(key=lambda r: r.report_id)

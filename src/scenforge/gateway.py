@@ -4,7 +4,15 @@ Two backends ship: a remote HTTP chat-completions client and a
 deterministic scripted playback backend for offline runs and tests.
 Every completion is cached content-addressed (digest of the
 canonicalized request), so an identical request never reaches a backend
-twice, within a process or across runs sharing a cache directory.
+twice, within a process or across runs sharing a cache directory. An
+identical request issued while the first is still in flight waits for
+that call and shares its reply (or its error) instead of making its own.
+
+Each interaction is recorded as a ``GatewayEvent`` into the sink that the
+calling context opened with ``recording``; calls made from other threads
+or tasks through the same gateway never land in it. ``Gateway.submit``
+runs independent work on a pool of ``max_concurrent`` threads owned by
+the gateway, for callers that fan requests out.
 
 Constrained generation is enforced at the text level: validate each
 output line against the section pattern, regenerate with a corrective
@@ -22,6 +30,9 @@ import os
 import re
 import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -31,12 +42,18 @@ from .errors import BackendUnavailable, ConstraintUnsatisfiable, PlaybackMiss
 log = logging.getLogger(__name__)
 
 DEFAULT_REGENERATION_BUDGET = 3
-DEFAULT_MAX_CONCURRENT = 4
+# two concurrent compositional runs each put three section generations
+# in flight at once; a lower cap queues some of them behind the others
+DEFAULT_MAX_CONCURRENT = 8
 CACHE_DIR_ENV = "SCENFORGE_CACHE_DIR"
 API_KEY_ENV = "SCENFORGE_API_KEY"
 
 CONFORMED = "verbatim"
 FILTERED = "filtered"
+
+CACHE_HIT = "hit"
+CACHE_MISS = "miss"
+CACHE_JOINED = "joined"  # shared the reply of an identical in-flight request
 
 
 @dataclass(frozen=True)
@@ -89,7 +106,13 @@ class Completion:
     text: str
     token_count: int
     latency_seconds: float
-    from_cache: bool
+    cache: str  # CACHE_HIT | CACHE_MISS | CACHE_JOINED
+    conformance: str | None = None  # set by complete_constrained
+
+    @property
+    def from_cache(self) -> bool:
+        """True when this request made no backend call of its own."""
+        return self.cache != CACHE_MISS
 
 
 @dataclass(frozen=True)
@@ -110,15 +133,36 @@ class CacheEntry:
 
 @dataclass
 class GatewayEvent:
-    """One backend or cache interaction, in order of occurrence."""
+    """One backend or cache interaction. ``digest`` is the request's
+    digest without any constraint, the key a playback transcript uses."""
 
     stage_tag: str
     digest: str
     text: str
+    token_count: int
     latency_seconds: float
-    from_cache: bool
-    constrained: bool = False
-    conformance: str | None = None
+    cache: str
+    conformance: str | None = None  # last attempt of a constrained call
+
+    @property
+    def from_cache(self) -> bool:
+        return self.cache != CACHE_MISS
+
+
+_sink: ContextVar[list | None] = ContextVar("scenforge_gateway_sink", default=None)
+
+
+@contextmanager
+def recording(sink: list):
+    """Append a GatewayEvent to ``sink`` for every gateway interaction
+    made in the current context, in order. Context variables do not
+    follow work handed to other threads, so a task that runs on a pool
+    opens its own sink."""
+    token = _sink.set(sink)
+    try:
+        yield sink
+    finally:
+        _sink.reset(token)
 
 
 def cache_key(request: PromptRequest, constraint: ConstraintSpec | None = None) -> str:
@@ -133,19 +177,27 @@ def cache_key(request: PromptRequest, constraint: ConstraintSpec | None = None) 
         "temperature": request.temperature,
         "max_tokens": request.max_tokens,
         "stop": list(request.stop),
-        "constraint": (
-            {
-                "section_kind": constraint.section_kind,
-                "line_pattern": constraint.line_pattern,
-                "allowed_lead_tokens": sorted(constraint.allowed_lead_tokens),
-                "max_lines": constraint.max_lines,
-            }
-            if constraint
-            else None
-        ),
+        "constraint": None,  # kept so request digests match older transcripts
     }
     canonical = json.dumps(payload, sort_keys=True, ensure_ascii=False)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _constrained_key(digest, constraint) if constraint else digest
+
+
+def _constrained_key(digest: str, constraint: ConstraintSpec) -> str:
+    """Key of a constrained completion, from the request's digest, so a
+    constrained call hashes its prompt once."""
+    spec = json.dumps(
+        [
+            digest,
+            constraint.section_kind,
+            constraint.line_pattern,
+            sorted(constraint.allowed_lead_tokens),
+            constraint.max_lines,
+        ],
+        ensure_ascii=False,
+    )
+    return hashlib.sha256(spec.encode("utf-8")).hexdigest()
 
 
 # --- caches -----------------------------------------------------------------
@@ -338,10 +390,11 @@ def _line_conforms(line: str, constraint: ConstraintSpec, pattern: re.Pattern) -
 
 
 class Gateway:
-    """Backend access with content-addressed caching and an event log.
+    """Backend access with content-addressed caching, single-flight
+    dedup of identical in-flight requests, and a worker pool for fan-out.
 
-    Events record every cache/backend interaction in order; pipeline
-    stages drain them into their traces.
+    Every interaction is recorded into the sink of the calling context
+    (see ``recording``); the gateway keeps no log of its own.
     """
 
     def __init__(
@@ -360,49 +413,80 @@ class Gateway:
             self.cache = FileCache(directory) if directory else MemoryCache()
         self.regeneration_budget = max(1, regeneration_budget)
         self._semaphore = threading.BoundedSemaphore(max_concurrent)
-        self._events_lock = threading.Lock()
-        self.events: list[GatewayEvent] = []
+        self._inflight_lock = threading.Lock()
+        self._inflight: dict[str, Future] = {}
+        # threads start on first submit and exit once the gateway is gone
+        self._pool = ThreadPoolExecutor(
+            max_workers=max_concurrent, thread_name_prefix="scenforge-gateway"
+        )
 
     # -- plumbing ------------------------------------------------------
 
-    def _record(self, event: GatewayEvent) -> None:
-        with self._events_lock:
-            self.events.append(event)
+    def submit(self, fn, *args) -> Future:
+        """Run ``fn(*args)`` on the gateway's pool. Tasks may make gateway
+        calls but must not submit further tasks and wait on them: the pool
+        is bounded, so a task waiting on a queued task can deadlock it."""
+        return self._pool.submit(fn, *args)
 
-    def drain_events(self) -> list[GatewayEvent]:
-        with self._events_lock:
-            events, self.events = self.events, []
-            return events
+    def close(self) -> None:
+        """Stop the pool's threads once the tasks already submitted finish.
+        A gateway that is dropped without ``close`` stops them when it is
+        garbage-collected."""
+        self._pool.shutdown()
 
-    def _execute(self, request: PromptRequest, key: str, constrained: bool) -> Completion:
+    def _execute(
+        self, request: PromptRequest, key: str, digest: str
+    ) -> tuple[Completion, GatewayEvent]:
         start = time.perf_counter()
         entry = self.cache.get(key)
         if entry is not None:
-            latency = time.perf_counter() - start
-            completion = Completion(entry.text, entry.token_count, latency, True)
+            text, tokens, cache = entry.text, entry.token_count, CACHE_HIT
         else:
-            with self._semaphore:
-                text, tokens = self.backend.invoke(request)
-            latency = time.perf_counter() - start
-            self.cache.put(key, text, tokens)
-            completion = Completion(text, tokens, latency, False)
-        self._record(
-            GatewayEvent(
-                stage_tag=request.stage_tag,
-                digest=cache_key(request),
-                text=completion.text,
-                latency_seconds=completion.latency_seconds,
-                from_cache=completion.from_cache,
-                constrained=constrained,
-            )
-        )
-        return completion
+            text, tokens, cache = self._single_flight(request, key)
+        latency = time.perf_counter() - start
+        event = GatewayEvent(request.stage_tag, digest, text, tokens, latency, cache)
+        sink = _sink.get()
+        if sink is not None:
+            sink.append(event)
+        return Completion(text, tokens, latency, cache), event
+
+    def _single_flight(self, request: PromptRequest, key: str) -> tuple[str, int, str]:
+        """At most one backend call per key at a time. A request whose key
+        is already in flight waits for that call and shares its reply, or
+        re-raises its error."""
+        with self._inflight_lock:
+            flight = self._inflight.get(key)
+            leader = flight is None
+            if leader:
+                flight = self._inflight[key] = Future()
+        if not leader:
+            text, tokens = flight.result()
+            return text, tokens, CACHE_JOINED
+        try:
+            # a flight for this key may have landed since the caller's look
+            entry = self.cache.get(key)
+            if entry is not None:
+                reply, cache = (entry.text, entry.token_count), CACHE_HIT
+            else:
+                with self._semaphore:
+                    reply = self.backend.invoke(request)
+                self.cache.put(key, *reply)
+                cache = CACHE_MISS
+        except BaseException as exc:
+            flight.set_exception(exc)
+            raise
+        finally:
+            with self._inflight_lock:
+                del self._inflight[key]
+        flight.set_result(reply)
+        return reply[0], reply[1], cache
 
     # -- public operations ------------------------------------------------
 
     def complete(self, request: PromptRequest) -> Completion:
         """Cache-first completion; one backend call per novel request."""
-        return self._execute(request, cache_key(request), constrained=False)
+        key = cache_key(request)
+        return self._execute(request, key, key)[0]
 
     def complete_constrained(
         self, request: PromptRequest, constraint: ConstraintSpec
@@ -410,15 +494,16 @@ class Gateway:
         """Completion whose every line matches the section pattern.
 
         Up to the regeneration budget attempts; the final attempt drops
-        nonconforming lines instead of failing, and the conformance
-        outcome lands on the event record.
+        nonconforming lines instead of failing. The conformance outcome
+        lands on the returned completion and on the last attempt's event.
         """
         pattern = re.compile(constraint.line_pattern)
         budget = self.regeneration_budget
         current = request
         for attempt in range(1, budget + 1):
-            completion = self._execute(
-                current, cache_key(current, constraint), constrained=True
+            digest = cache_key(current)
+            completion, event = self._execute(
+                current, _constrained_key(digest, constraint), digest
             )
             lines = _clean_lines(completion.text)
             bad = [
@@ -426,13 +511,8 @@ class Gateway:
             ]
             nonempty = [line for line in lines if line.strip()]
             if not bad and len(nonempty) <= constraint.max_lines:
-                self._set_conformance(CONFORMED)
-                return Completion(
-                    "\n".join(lines),
-                    completion.token_count,
-                    completion.latency_seconds,
-                    completion.from_cache,
-                )
+                event.conformance = CONFORMED
+                return replace(completion, text="\n".join(lines), conformance=CONFORMED)
             if attempt < budget:
                 current = current.followup(
                     completion.text,
@@ -443,22 +523,12 @@ class Gateway:
                 line for line in lines if line.strip() and line not in bad
             ][: constraint.max_lines]
             if kept:
-                self._set_conformance(FILTERED)
-                return Completion(
-                    "\n".join(kept),
-                    completion.token_count,
-                    completion.latency_seconds,
-                    completion.from_cache,
-                )
+                event.conformance = FILTERED
+                return replace(completion, text="\n".join(kept), conformance=FILTERED)
         raise ConstraintUnsatisfiable(
             f"no line conformed to the {constraint.section_kind} pattern "
             f"after {budget} attempt(s)"
         )
-
-    def _set_conformance(self, outcome: str) -> None:
-        with self._events_lock:
-            if self.events:
-                self.events[-1].conformance = outcome
 
     @staticmethod
     def _corrective_text(constraint: ConstraintSpec, bad: list[str], attempt: int) -> str:

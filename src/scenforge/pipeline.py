@@ -1,14 +1,38 @@
 """Pipeline orchestration: staged prompting, compiler-feedback repair,
 stitching, and the execution check.
 
-The compositional strategy runs four stages in order: a three-expert
-panel identifies scene objects, follow-up questions are collected for
-every missing property, the panel answers them (directly or as
-probability distributions), and the program is generated by parts under
-per-section line constraints, with retrieved examples in the prompt.
-Each part is compiled on arrival; compiler diagnostics drive a bounded
-zero-shot repair loop. Clean parts are stitched and the whole program
-must instantiate a scene, with a second bounded repair loop on failure.
+The compositional strategy runs four stages: a three-expert panel
+identifies scene objects, follow-up questions are collected for every
+missing property, the panel answers them (directly or as probability
+distributions), and the program is generated by parts under per-section
+line constraints, with retrieved examples in the prompt. Each part is
+compiled; compiler diagnostics drive a bounded zero-shot repair loop.
+Clean parts are stitched and the whole program must instantiate a scene,
+with a second bounded repair loop on failure.
+
+Model calls run in four layers, each joined before the next starts:
+
+    1. objects (with its reprompt)  |  HyDE draft and retrieval
+    2. questions
+    3. answers (with its reformat reprompt)
+    4. constants  |  behaviors  |  spatial section generation
+
+A call depends only on earlier layers: the draft on the report alone, a
+section prompt on the report, objects, answers and examples, never on
+another section's text. So a happy-path run waits on 4 sequential model
+round trips instead of 7 (6 without a retrieval store). The calls of a
+layer run side by side on the gateway's pool while the caller waits.
+After the last layer the sections are compiled and repaired on the
+calling thread in the fixed order constants, behaviors, spatial, so
+names flow from one section into the next and every repair prompt is
+the one a sequential run would send.
+
+Each stage records its calls in its own sink; traces are kept in stage
+order, not arrival order. When a stage fails, sibling calls of its layer
+were already issued (the behaviors and spatial generations when the
+constants section cannot be repaired, the HyDE draft when objects
+fails). Their replies are cached like any other, and their calls are
+traced after the failing stage with outcome "skipped".
 
 Baseline strategies issue one-shot generations (sectioned for the
 constrained baseline) and never see compiler feedback; they exist for
@@ -17,6 +41,7 @@ comparison runs.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import time
@@ -37,7 +62,7 @@ from .errors import (
     RepairExhausted,
     ScenForgeError,
 )
-from .gateway import Gateway
+from .gateway import Gateway, recording
 from .prompts import PromptFactory, extract_code, section_constraint
 from .retrieval import LocalHashEmbedder, VectorStore, hyde_query
 from .scene import ValidityReport, check_validity
@@ -53,7 +78,6 @@ from .scenic import (
     stitch,
 )
 from .scenic.diagnostics import ERROR, Diagnostic
-from .scenic.sections import PART_FAILED, PART_OK
 
 log = logging.getLogger(__name__)
 
@@ -64,6 +88,9 @@ STRATEGIES = (COMPOSITIONAL,) + BASELINE_STRATEGIES
 OUTCOME_OK = "ok"
 OUTCOME_REPAIRED = "repaired"
 OUTCOME_FAILED = "failed"
+OUTCOME_SKIPPED = "skipped"  # issued alongside a stage that failed; unused
+
+TRACE_SCHEMA = 2
 
 DEFAULT_SECTION_RETRY_BUDGET = 5
 DEFAULT_PROGRAM_RETRY_BUDGET = 3
@@ -103,18 +130,10 @@ class RetrievalSetup:
     embedder: LocalHashEmbedder = field(default_factory=LocalHashEmbedder)
 
 
-@dataclass(frozen=True)
-class TraceInteraction:
-    digest: str
-    text: str
-    latency_seconds: float
-    from_cache: bool
-
-
 @dataclass
 class StageTrace:
     stage: str
-    interactions: list
+    interactions: list  # GatewayEvent, in call order
     diagnostics_fed_back: list
     outcome: str
 
@@ -154,26 +173,74 @@ class Answer:
 
 
 class _TraceRecorder:
-    def __init__(self, gateway: Gateway):
-        self.gateway = gateway
+    def __init__(self):
         self.traces: list[StageTrace] = []
-        self.gateway.drain_events()  # start clean
 
-    def close(self, stage: str, outcome: str = OUTCOME_OK, diagnostics=()) -> None:
-        events = self.gateway.drain_events()
+    def close(self, stage: str, events: list, outcome: str = OUTCOME_OK,
+              diagnostics=()) -> None:
+        """Move ``events`` into a new trace for ``stage``."""
         self.traces.append(
             StageTrace(
                 stage=stage,
-                interactions=[
-                    TraceInteraction(
-                        e.digest, e.text, e.latency_seconds, e.from_cache
-                    )
-                    for e in events
-                ],
+                interactions=list(events),
                 diagnostics_fed_back=[str(d) for d in diagnostics],
                 outcome=outcome,
             )
         )
+        events.clear()
+
+
+class _StageFailed(Exception):
+    """A stage failed: what its trace and the failed RunResult need.
+    ``skipped`` lists (stage, _StageRun) siblings whose calls were made
+    but whose results go unused."""
+
+    def __init__(self, stage: str, events: list, message: str, diagnostics=(),
+                 skipped=()):
+        super().__init__(message)
+        self.stage = stage
+        self.events = events
+        self.diagnostics = list(diagnostics)
+        self.skipped = list(skipped)
+
+
+class _StageRun:
+    """One stage task: its value or error, and the gateway calls it made."""
+
+    def __init__(self, fn, *args):
+        self.fn = fn
+        self.args = args
+        self.events: list = []
+        self.value = None
+        self.error: Exception | None = None
+
+    def __call__(self) -> None:
+        with recording(self.events):
+            try:
+                self.value = self.fn(*self.args)
+            except Exception as exc:  # handled by the caller, in stage order
+                self.error = exc
+
+    def take(self, stage: str, expected, skipped=()):
+        """The stage's value. An expected error fails the run at
+        ``stage``; any other error is re-raised as it was."""
+        if isinstance(self.error, expected):
+            raise _StageFailed(stage, self.events, str(self.error), skipped=skipped)
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
+def _run_layer(gateway: Gateway, runs) -> None:
+    """Run one layer's independent stage tasks and wait for every one.
+    A lone task runs on the calling thread; a wider layer fans out on the
+    gateway's pool. Tasks never fan out again, so the bounded pool cannot
+    deadlock on them."""
+    if len(runs) == 1:
+        runs[0]()
+        return
+    for future in [gateway.submit(run) for run in runs]:
+        future.result()
 
 
 # --- stages -------------------------------------------------------------------
@@ -361,28 +428,33 @@ def finalize(parts: ProgramParts, config: PipelineConfig, gateway: Gateway,
     return program, validity, attempts
 
 
-def _retrieve_examples(report, config, gateway, factory, retrieval):
+def _has_store(retrieval: RetrievalSetup) -> bool:
+    return retrieval.store is not None and len(retrieval.store) > 0
+
+
+def _retrieve_examples(report, config, gateway, factory, retrieval) -> list[str]:
     """One HyDE retrieval per run: draft once, embed the draft, reuse the
     retrieved examples for all three section prompts."""
-    store = retrieval.store
-    if store is None or len(store) == 0:
-        return [], None
 
     def draft_generator(_text: str) -> str:
         request = factory.draft_request(report, _fixed_examples())
         return extract_code(gateway.complete(request).text)
 
     result = hyde_query(
-        store, report.narrative, config.retrieval_k, retrieval.embedder, draft_generator
+        retrieval.store, report.narrative, config.retrieval_k, retrieval.embedder,
+        draft_generator,
     )
-    return [scored.entry.text for scored in result.results], result.draft
+    return [scored.entry.text for scored in result.results]
 
 
 _FIXED_EXAMPLE_COUNT = 3
 
 
-def _fixed_examples() -> list[str]:
-    return [text for _, text in example_programs()[:_FIXED_EXAMPLE_COUNT]]
+@functools.cache
+def _fixed_examples() -> tuple[str, ...]:
+    # read once: file reads in a fanned-out draft task would hand the
+    # interpreter lock to other threads and delay the draft's backend call
+    return tuple(text for _, text in example_programs()[:_FIXED_EXAMPLE_COUNT])
 
 
 def _empty_section_diagnostic() -> Diagnostic:
@@ -405,117 +477,30 @@ def run_pipeline(
     failures produce a failed RunResult naming the stage; nothing
     escapes as an exception.
     """
-    retrieval = retrieval or RetrievalSetup()
-    factory = PromptFactory(config.model_id, config.temperature, config.max_tokens)
-    recorder = _TraceRecorder(gateway)
+    recorder = _TraceRecorder()
     repairs = {kind: 0 for kind in SECTION_KINDS}
     repairs["program"] = 0
     start = time.perf_counter()
-
-    def failed(stage: str, message: str, diagnostics=()) -> RunResult:
-        recorder.close(stage, OUTCOME_FAILED, diagnostics)
+    log.debug("pipeline start: report=%s strategy=%s", report.id, config.strategy)
+    try:
+        program, validity = _compose(
+            report, config, gateway, retrieval or RetrievalSetup(), recorder, repairs
+        )
+    except _StageFailed as exc:
+        recorder.close(exc.stage, exc.events, OUTCOME_FAILED, exc.diagnostics)
+        for stage, run in exc.skipped:
+            recorder.close(stage, run.events, OUTCOME_SKIPPED)
         return RunResult(
             report_id=report.id,
             strategy=COMPOSITIONAL,
             final_program=None,
-            validity=_failure_validity(diagnostics),
+            validity=_failure_validity(exc.diagnostics),
             traces=recorder.traces,
             wall_seconds=time.perf_counter() - start,
             success=False,
-            failure=f"{stage}: {message}",
+            failure=f"{exc.stage}: {exc}",
             repairs=repairs,
         )
-
-    log.debug("pipeline start: report=%s strategy=%s", report.id, config.strategy)
-    try:
-        objects = stage_objects(report, gateway, factory)
-    except (MarkerMissing, GatewayError) as exc:
-        return failed("objects", str(exc))
-    recorder.close("objects")
-
-    try:
-        questions = stage_questions(report, objects, gateway, factory)
-    except GatewayError as exc:
-        return failed("questions", str(exc))
-    recorder.close("questions")
-
-    try:
-        answers = stage_answers(report, questions, gateway, factory)
-    except GatewayError as exc:
-        return failed("answers", str(exc))
-    recorder.close("answers")
-
-    try:
-        examples, _draft = _retrieve_examples(report, config, gateway, factory, retrieval)
-    except ScenForgeError as exc:
-        return failed("retrieve", str(exc))
-    if examples:
-        recorder.close("retrieve")
-
-    answers_block = render_answers(answers)
-    parts = ProgramParts.empty()
-    env: set[str] = set()
-    behaviors_map: dict = {}
-    for kind in SECTION_KINDS:
-        try:
-            text = stage_section(
-                kind, report, objects, answers_block, examples, gateway, factory
-            )
-        except GatewayError as exc:
-            parts.part(kind).status = PART_FAILED
-            return failed(f"section:{kind}", str(exc))
-        if text.strip():
-            statements, diags = compile_section(
-                text, kind, config.registry, env, behaviors_map
-            )
-        else:
-            statements, diags = None, [_empty_section_diagnostic()]
-        count = 0
-        if statements is None or has_errors(diags):
-            try:
-                text, statements, count = repair_section(
-                    kind, text, diags, gateway, factory,
-                    config.section_retry_budget, config.registry, env,
-                    behaviors_map, report.id,
-                )
-            except (RepairExhausted, GatewayError) as exc:
-                part = parts.part(kind)
-                part.text = text
-                part.status = PART_FAILED
-                part.diagnostics = getattr(exc, "diagnostics", diags)
-                repairs[kind] = config.section_retry_budget
-                return failed(
-                    f"section:{kind}", str(exc), getattr(exc, "diagnostics", diags)
-                )
-        part = parts.part(kind)
-        part.text = text
-        part.status = PART_OK
-        part.repair_count = count
-        repairs[kind] = count
-        env |= section_names(statements)
-        if kind == "behaviors":
-            behaviors_map = section_behaviors(statements)
-        recorder.close(
-            f"section:{kind}", OUTCOME_REPAIRED if count else OUTCOME_OK,
-            [d.message for d in diags] if count else (),
-        )
-
-    try:
-        program, validity, program_repairs = finalize(
-            parts, config, gateway, factory, report.id
-        )
-    except (GatewayError, ScenForgeError) as exc:
-        return failed("finalize", str(exc))
-    repairs["program"] = program_repairs
-    if not validity.valid:
-        finalize_outcome = OUTCOME_FAILED
-    elif program_repairs:
-        finalize_outcome = OUTCOME_REPAIRED
-    else:
-        finalize_outcome = OUTCOME_OK
-    recorder.close(
-        "finalize", finalize_outcome, [d.message for d in validity.diagnostics]
-    )
     success = validity.valid
     return RunResult(
         report_id=report.id,
@@ -530,6 +515,110 @@ def run_pipeline(
     )
 
 
+def _compose(report, config, gateway, retrieval, recorder, repairs):
+    """The four layers of model calls, then section compile and repair,
+    then finalize. Returns (program, validity) and fills ``repairs``; a
+    stage failure raises _StageFailed."""
+    factory = PromptFactory(config.model_id, config.temperature, config.max_tokens)
+
+    # layer 1: objects | HyDE draft; the draft's trace follows answers
+    objects_run = _StageRun(stage_objects, report, gateway, factory)
+    draft_run = None
+    if _has_store(retrieval):
+        draft_run = _StageRun(
+            _retrieve_examples, report, config, gateway, factory, retrieval
+        )
+    drafts = [("retrieve", draft_run)] if draft_run else []
+    _run_layer(gateway, [objects_run] + [run for _, run in drafts])
+    objects = objects_run.take("objects", (MarkerMissing, GatewayError), drafts)
+    recorder.close("objects", objects_run.events)
+    examples = draft_run.take("retrieve", ScenForgeError) if draft_run else []
+
+    # layers 2 and 3: questions, then answers
+    run = _StageRun(stage_questions, report, objects, gateway, factory)
+    _run_layer(gateway, [run])
+    questions = run.take("questions", GatewayError, drafts)
+    recorder.close("questions", run.events)
+
+    run = _StageRun(stage_answers, report, questions, gateway, factory)
+    _run_layer(gateway, [run])
+    answers = run.take("answers", GatewayError, drafts)
+    recorder.close("answers", run.events)
+    if draft_run:
+        recorder.close("retrieve", draft_run.events)
+
+    # layer 4: every section generation at once
+    answers_block = render_answers(answers)
+    sections = [
+        (f"section:{kind}", _StageRun(
+            stage_section, kind, report, objects, answers_block, examples,
+            gateway, factory,
+        ))
+        for kind in SECTION_KINDS
+    ]
+    _run_layer(gateway, [run for _, run in sections])
+
+    # compile and repair in canonical order: a section sees the names and
+    # behaviors of the sections before it
+    parts = ProgramParts.empty()
+    env: set[str] = set()
+    behaviors_map: dict = {}
+    for index, (kind, (stage, run)) in enumerate(zip(SECTION_KINDS, sections)):
+        later = sections[index + 1:]
+        text = run.take(stage, GatewayError, later)
+        if text.strip():
+            statements, diags = compile_section(
+                text, kind, config.registry, env, behaviors_map
+            )
+        else:
+            statements, diags = None, [_empty_section_diagnostic()]
+        count = 0
+        if statements is None or has_errors(diags):
+            with recording(run.events):
+                try:
+                    text, statements, count = repair_section(
+                        kind, text, diags, gateway, factory,
+                        config.section_retry_budget, config.registry, env,
+                        behaviors_map, report.id,
+                    )
+                except (RepairExhausted, GatewayError) as exc:
+                    repairs[kind] = config.section_retry_budget
+                    raise _StageFailed(
+                        stage, run.events, str(exc),
+                        getattr(exc, "diagnostics", diags), later,
+                    ) from exc
+        parts.part(kind).text = text
+        repairs[kind] = count
+        env |= section_names(statements)
+        if kind == "behaviors":
+            behaviors_map = section_behaviors(statements)
+        recorder.close(
+            stage, run.events, OUTCOME_REPAIRED if count else OUTCOME_OK,
+            [d.message for d in diags] if count else (),
+        )
+
+    events: list = []
+    with recording(events):
+        try:
+            program, validity, program_repairs = finalize(
+                parts, config, gateway, factory, report.id
+            )
+        except (GatewayError, ScenForgeError) as exc:
+            raise _StageFailed("finalize", events, str(exc)) from exc
+    repairs["program"] = program_repairs
+    if not validity.valid:
+        finalize_outcome = OUTCOME_FAILED
+    elif program_repairs:
+        finalize_outcome = OUTCOME_REPAIRED
+    else:
+        finalize_outcome = OUTCOME_OK
+    recorder.close(
+        "finalize", events, finalize_outcome,
+        [d.message for d in validity.diagnostics],
+    )
+    return program, validity
+
+
 def run_baseline(
     strategy: str,
     report,
@@ -542,11 +631,12 @@ def run_baseline(
         raise ValueError(f"unknown baseline strategy {strategy!r}")
     retrieval = retrieval or RetrievalSetup()
     factory = PromptFactory(config.model_id, config.temperature, config.max_tokens)
-    recorder = _TraceRecorder(gateway)
+    recorder = _TraceRecorder()
+    events: list = []
     start = time.perf_counter()
 
     def failed(stage: str, message: str) -> RunResult:
-        recorder.close(stage, OUTCOME_FAILED)
+        recorder.close(stage, events, OUTCOME_FAILED)
         return RunResult(
             report_id=report.id,
             strategy=strategy,
@@ -559,28 +649,27 @@ def run_baseline(
         )
 
     try:
-        if strategy == "constrained":
-            program = _constrained_baseline(report, gateway, factory, recorder)
-        else:
-            examples: list[str] = []
-            if strategy == "few_shot":
-                examples = _fixed_examples()
-            elif strategy == "rag":
-                if retrieval.store is not None and len(retrieval.store):
+        with recording(events):
+            if strategy == "constrained":
+                program = _constrained_baseline(report, gateway, factory, recorder, events)
+            else:
+                examples: list[str] = []
+                if strategy == "few_shot":
+                    examples = list(_fixed_examples())
+                elif strategy == "rag" and _has_store(retrieval):
                     scored = retrieval.store.query_topk(
                         report.narrative, config.retrieval_k, retrieval.embedder
                     )
                     examples = [s.entry.text for s in scored]
-            elif strategy == "rag_hyde":
-                if retrieval.store is not None and len(retrieval.store):
-                    examples, _ = _retrieve_examples(
+                elif strategy == "rag_hyde" and _has_store(retrieval):
+                    examples = _retrieve_examples(
                         report, config, gateway, factory, retrieval
                     )
-            completion = gateway.complete(
-                factory.baseline_request(report, strategy, examples)
-            )
-            program = extract_code(completion.text)
-            recorder.close(strategy)
+                completion = gateway.complete(
+                    factory.baseline_request(report, strategy, examples)
+                )
+                program = extract_code(completion.text)
+                recorder.close(strategy, events)
     except (GatewayError, ScenForgeError) as exc:
         return failed(strategy, str(exc))
 
@@ -599,13 +688,13 @@ def run_baseline(
     )
 
 
-def _constrained_baseline(report, gateway, factory, recorder) -> str:
+def _constrained_baseline(report, gateway, factory, recorder, events) -> str:
     parts = ProgramParts.empty()
     for kind in SECTION_KINDS:
         request = factory.baseline_section_request(report, kind)
         completion = gateway.complete_constrained(request, section_constraint(kind))
         parts.part(kind).text = completion.text
-        recorder.close(f"section:{kind}")
+        recorder.close(f"section:{kind}", events)
     return stitch(parts)
 
 
@@ -646,6 +735,7 @@ def write_run_result(result: RunResult, out_dir) -> dict:
         program_path.write_text(result.final_program, encoding="utf-8")
         paths["program"] = program_path
     trace_doc = {
+        "schema": TRACE_SCHEMA,
         "report_id": result.report_id,
         "strategy": result.strategy,
         "success": result.success,
@@ -659,10 +749,14 @@ def write_run_result(result: RunResult, out_dir) -> dict:
                 "diagnostics_fed_back": trace.diagnostics_fed_back,
                 "interactions": [
                     {
+                        "stage_tag": i.stage_tag,
                         "digest": i.digest,
                         "text": i.text,
+                        "token_count": i.token_count,
                         "latency_seconds": i.latency_seconds,
+                        "cache": i.cache,
                         "from_cache": i.from_cache,
+                        "conformance": i.conformance,
                     }
                     for i in trace.interactions
                 ],

@@ -4,15 +4,7 @@ from . import ast
 from .diagnostics import ERROR, WARNING, Diagnostic, has_errors, render_diagnostics
 from .formatter import format_expr, format_program, format_section, format_statement
 from .parser import ParseResult, SectionResult, parse_program, parse_section
-from .sections import (
-    PART_FAILED,
-    PART_OK,
-    PART_PENDING,
-    ProgramParts,
-    SectionPart,
-    compile_section,
-    stitch,
-)
+from .sections import ProgramParts, SectionPart, compile_section, stitch
 from .tokens import KEYWORDS, Token, TokenKind, tokenize
 from .validator import (
     BUILTIN_ACTIONS,
@@ -42,6 +34,5 @@ __all__ = [
     "BUILTIN_ACTIONS", "BUILTIN_BEHAVIORS", "BUILTIN_FUNCTIONS",
     "BUILTIN_NAMES", "BUILTIN_VALUES",
     "ProgramParts", "SectionPart", "compile_section", "stitch",
-    "PART_PENDING", "PART_OK", "PART_FAILED",
     "SECTION_KINDS",
 ]

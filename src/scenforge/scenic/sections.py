@@ -14,18 +14,12 @@ from .diagnostics import Diagnostic, has_errors
 from .parser import parse_section
 from .validator import ModelRegistry, validate_section
 
-PART_PENDING = "pending"
-PART_OK = "ok"
-PART_FAILED = "failed"
-
 
 @dataclass
 class SectionPart:
     kind: str
     text: str = ""
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    repair_count: int = 0
-    status: str = PART_PENDING
 
     @property
     def has_errors(self) -> bool:

@@ -4,6 +4,8 @@ pipeline runs, and tiny scripted backends."""
 from __future__ import annotations
 
 import json
+import threading
+import time
 from pathlib import Path
 
 from scenforge.gateway import PlaybackBackend
@@ -207,3 +209,48 @@ def stage_router(section_reply: str):
         return section_reply
 
     return respond
+
+
+HYDE_DRAFT_REPLY = "SPEED = 5\nego = new Car at (0, 0), with speed SPEED\n"
+
+
+def happy_reply(request) -> str:
+    """The happy-path reply for any report id, chosen by stage."""
+    stage = request.stage_tag.rsplit("/", 1)[-1]
+    if stage == "hyde_draft":
+        return HYDE_DRAFT_REPLY
+    return happy_transcript("r")[f"r/{stage}"][0]
+
+
+class SleepingBackend:
+    """Backend that answers ``fn(request)`` after a fixed sleep, the
+    stand-in for a remote model. Logs each call as (stage tag, start,
+    end) so tests can count sequential round trips."""
+
+    def __init__(self, fn, delay_seconds: float):
+        self.fn = fn
+        self.delay_seconds = delay_seconds
+        self.calls: list[tuple[str, float, float]] = []
+        self._lock = threading.Lock()
+
+    @property
+    def call_count(self) -> int:
+        return len(self.calls)
+
+    def invoke(self, request):
+        start = time.perf_counter()
+        time.sleep(self.delay_seconds)
+        with self._lock:
+            self.calls.append((request.stage_tag, start, time.perf_counter()))
+        text = self.fn(request)
+        return text, len(text.split())
+
+
+def round_trips(calls) -> int:
+    """Sequential round trips: call intervals with overlapping ones merged."""
+    count, reach = 0, float("-inf")
+    for _, start, end in sorted(calls, key=lambda call: call[1]):
+        if start > reach:
+            count += 1
+        reach = max(reach, end)
+    return count

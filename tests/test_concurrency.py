@@ -1,0 +1,224 @@
+"""Concurrency contracts: layered fan-out inside one run, single-flight
+dedup across runs, and per-run traces under a shared gateway."""
+
+from __future__ import annotations
+
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+
+from scenforge import cli
+from scenforge.bundled import example_program_paths
+from scenforge.errors import BackendUnavailable
+from scenforge.gateway import Gateway, MemoryCache, PromptRequest, recording
+from scenforge.pipeline import PipelineConfig, RetrievalSetup, run_pipeline
+from scenforge.reports import AgentMention, ReportRecord, load_report
+from scenforge.retrieval import LocalHashEmbedder, VectorStore
+from support import (
+    BICYCLE_NARRATIVE,
+    SleepingBackend,
+    happy_reply,
+    happy_transcript,
+    playback,
+    round_trips,
+    write_corpus,
+    write_report,
+)
+
+REMOTE_DELAY = 0.03
+TIMEOUT = 60  # seconds any test waits on its workers
+
+
+def bundled_store() -> RetrievalSetup:
+    embedder = LocalHashEmbedder()
+    store = VectorStore(embedder.dimension)
+    for path in example_program_paths():
+        store.upsert(path.stem, path.read_text(encoding="utf-8"), embedder)
+    return RetrievalSetup(store=store, embedder=embedder)
+
+
+# --- one run: four joined layers --------------------------------------------------
+
+
+@pytest.mark.parametrize("with_store", [True, False], ids=["store", "no-store"])
+def test_happy_path_waits_on_four_round_trips(tmp_path, config, with_store):
+    report = load_report(write_report(tmp_path))
+    backend = SleepingBackend(happy_reply, REMOTE_DELAY)
+    retrieval = bundled_store() if with_store else None
+    result = run_pipeline(report, config, Gateway(backend, cache=MemoryCache()), retrieval)
+    assert result.success
+    assert backend.call_count == (7 if with_store else 6)
+    assert round_trips(backend.calls) == 4
+
+
+def test_layered_run_output_matches_sequential_replay(tmp_path, config):
+    # the same replies served with and without latency give the same run
+    report = load_report(write_report(tmp_path))
+    slow = run_pipeline(
+        report, config,
+        Gateway(SleepingBackend(happy_reply, 0.005), cache=MemoryCache()),
+        bundled_store(),
+    )
+    fast = run_pipeline(
+        report, config,
+        Gateway(SleepingBackend(happy_reply, 0.0), cache=MemoryCache()),
+        bundled_store(),
+    )
+    assert slow.final_program == fast.final_program
+    assert [t.stage for t in slow.traces] == [t.stage for t in fast.traces] == [
+        "objects", "questions", "answers", "retrieve",
+        "section:constants", "section:behaviors", "section:spatial", "finalize",
+    ]
+
+
+# --- single-flight ------------------------------------------------------------------
+
+
+def test_concurrent_identical_requests_share_one_backend_call():
+    backend = SleepingBackend(lambda request: "reply", 0.05)
+    gateway = Gateway(backend, cache=MemoryCache())
+    barrier = threading.Barrier(6)
+    request = PromptRequest.single("m", "sys", "same prompt", "r1/objects")
+
+    def call(_):
+        barrier.wait(timeout=10)
+        with recording([]) as events:
+            completion = gateway.complete(request)
+        return completion, events
+
+    with ThreadPoolExecutor(max_workers=6) as pool:
+        outcomes = list(pool.map(call, range(6), timeout=TIMEOUT))
+    assert backend.call_count == 1
+    assert {completion.text for completion, _ in outcomes} == {"reply"}
+    caches = sorted(events[0].cache for _, events in outcomes)
+    assert caches.count("miss") == 1
+    assert set(caches) <= {"miss", "joined", "hit"}
+    assert sum(not completion.from_cache for completion, _ in outcomes) == 1
+
+
+def test_leader_error_reaches_every_joiner():
+    def fail(request):
+        raise BackendUnavailable("backend down")
+
+    backend = SleepingBackend(fail, 0.2)
+    gateway = Gateway(backend, cache=MemoryCache())
+    barrier = threading.Barrier(4)
+    request = PromptRequest.single("m", "sys", "same prompt", "r1/objects")
+
+    def call(_):
+        barrier.wait(timeout=10)
+        try:
+            gateway.complete(request)
+        except BackendUnavailable as exc:
+            return str(exc)
+        return None
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        errors = list(pool.map(call, range(4), timeout=TIMEOUT))
+    assert errors == ["backend down"] * 4
+    assert backend.call_count == 1
+    # errors are not cached: a later request makes a fresh call
+    with pytest.raises(BackendUnavailable):
+        gateway.complete(request)
+    assert backend.call_count == 2
+
+
+def test_identical_reports_make_one_call_per_distinct_request(tmp_path, monkeypatch):
+    # eight copies of one report under different ids, all in flight at once
+    ids = [f"c{i}" for i in range(8)]
+    corpus = write_corpus(tmp_path / "corpus", ids)
+
+    def run(jobs: int, out) -> int:
+        backend = SleepingBackend(happy_reply, 0.02)
+        monkeypatch.setattr(cli, "_build_backend", lambda args: backend)
+        code = cli.main([
+            "run-corpus", "--corpus", str(corpus), "--jobs", str(jobs),
+            "--out", str(out), "--cache-dir", str(out / "cache"),
+        ])
+        assert code == 0
+        return backend.call_count
+
+    distinct = run(1, tmp_path / "one")
+    assert distinct == 6
+    assert run(8, tmp_path / "eight") == distinct
+
+
+# --- per-run traces under one shared gateway ------------------------------------------
+
+
+def test_shared_gateway_traces_hold_only_their_own_calls(registry, cross4):
+    # 32 reports in 4 groups of identical content, so runs both race and
+    # join each other's flights
+    config = PipelineConfig(registry=registry, network=cross4, seed=7)
+    reports = [
+        ReportRecord(
+            id=f"s{i:02d}",
+            narrative=f"{BICYCLE_NARRATIVE} Variant {i % 4}.",
+            road_context="intersection",
+            dynamic_agents=(AgentMention("av"), AgentMention("cyclist")),
+        )
+        for i in range(32)
+    ]
+    backend = SleepingBackend(happy_reply, 0.002)
+    gateway = Gateway(backend, cache=MemoryCache())
+    retrieval = bundled_store()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # switch threads often, so races show
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(
+                lambda report: run_pipeline(report, config, gateway, retrieval),
+                reports, timeout=TIMEOUT,
+            ))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(result.success for result in results)
+    for result in results:
+        tags = {
+            interaction.stage_tag
+            for trace in result.traces
+            for interaction in trace.interactions
+        }
+        assert tags and all(tag.startswith(f"{result.report_id}/") for tag in tags)
+    assert sum(result.backend_calls for result in results) == backend.call_count
+    assert backend.call_count == 4 * 7
+
+
+def test_every_call_is_traced_once_when_a_section_fails(tmp_path, config):
+    # constants cannot be repaired; behaviors and spatial were already
+    # generated alongside it and are traced after it as skipped
+    report = load_report(write_report(tmp_path))
+    transcript = happy_transcript()
+    transcript["r1/section:constants"] = ["BROKEN = ((("]
+    transcript["r1/repair:constants"] = ["BROKEN = ((("] * config.section_retry_budget
+    backend = playback(transcript)
+    result = run_pipeline(report, config, Gateway(backend, cache=MemoryCache()))
+    assert result.failure.startswith("section:constants")
+    assert [(t.stage, t.outcome) for t in result.traces] == [
+        ("objects", "ok"), ("questions", "ok"), ("answers", "ok"),
+        ("section:constants", "failed"),
+        ("section:behaviors", "skipped"), ("section:spatial", "skipped"),
+    ]
+    assert sum(len(t.interactions) for t in result.traces) == backend.call_count
+    assert result.backend_calls == backend.call_count
+
+
+def test_failed_objects_traces_the_issued_draft_as_skipped(tmp_path, config):
+    report = load_report(write_report(tmp_path))
+
+    def respond(request):
+        if request.stage_tag.endswith("/objects"):
+            return "no final answer block here"
+        return happy_reply(request)
+
+    backend = SleepingBackend(respond, 0.0)
+    result = run_pipeline(
+        report, config, Gateway(backend, cache=MemoryCache()), bundled_store()
+    )
+    assert result.failure.startswith("objects")
+    assert [(t.stage, t.outcome, len(t.interactions)) for t in result.traces] == [
+        ("objects", "failed", 2), ("retrieve", "skipped", 1),
+    ]
+    assert backend.call_count == 3

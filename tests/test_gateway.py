@@ -19,6 +19,7 @@ from scenforge.gateway import (
     PromptRequest,
     RemoteBackend,
     cache_key,
+    recording,
 )
 from scenforge.prompts import section_constraint
 from support import CallableBackend
@@ -110,12 +111,15 @@ def test_file_cache_write_is_atomic_and_idempotent(tmp_path):
 
 def test_events_record_interactions():
     gateway = Gateway(CallableBackend(lambda req: "one"), cache=MemoryCache())
-    gateway.complete(request())
-    gateway.complete(request())
-    events = gateway.drain_events()
+    with recording([]) as events:
+        gateway.complete(request())
+        gateway.complete(request())
     assert len(events) == 2
     assert [e.from_cache for e in events] == [False, True]
-    assert gateway.drain_events() == []
+    assert [e.cache for e in events] == ["miss", "hit"]
+    assert events[0].stage_tag == "r1/objects"
+    gateway.complete(request())  # outside the sink: not recorded
+    assert len(events) == 2
 
 
 # --- playback backend -------------------------------------------------------------
@@ -162,18 +166,24 @@ def test_conforming_output_accepted_verbatim():
     gateway = Gateway(
         CallableBackend(lambda req: "EGO_SPEED = 10"), cache=MemoryCache()
     )
-    completion = gateway.complete_constrained(request(), section_constraint("constants"))
+    with recording([]) as events:
+        completion = gateway.complete_constrained(
+            request(), section_constraint("constants")
+        )
     assert completion.text == "EGO_SPEED = 10"
-    events = gateway.drain_events()
+    assert completion.conformance == "verbatim"
     assert events[-1].conformance == "verbatim"
 
 
 def test_prose_line_stripped_code_kept():
     reply = "Sure! Here is the code:\nEGO_SPEED = 10"
     gateway = Gateway(CallableBackend(lambda req: reply), cache=MemoryCache())
-    completion = gateway.complete_constrained(request(), section_constraint("constants"))
+    with recording([]) as events:
+        completion = gateway.complete_constrained(
+            request(), section_constraint("constants")
+        )
     assert completion.text == "EGO_SPEED = 10"
-    events = gateway.drain_events()
+    assert completion.conformance == "filtered"
     assert events[-1].conformance == "filtered"
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from scenforge.errors import MarkerMissing, RepairExhausted
@@ -499,3 +501,19 @@ def test_write_run_result_files(report, config, tmp_path):
     assert '"strategy": "compositional"' in trace
     validity = paths["validity"].read_text()
     assert '"valid": true' in validity
+
+
+def test_persisted_trace_records_stage_cache_and_conformance(report, config, tmp_path):
+    gateway = gateway_for(happy_transcript())
+    run_pipeline(report, config, gateway)  # fills the cache
+    result = run_pipeline(report, config, gateway)
+    trace = json.loads(write_run_result(result, tmp_path)["trace"].read_text())
+    assert trace["schema"] == 2
+    by_stage = {t["stage"]: t["interactions"] for t in trace["traces"]}
+    (objects,) = by_stage["objects"]
+    assert objects["stage_tag"] == "r1/objects"
+    assert (objects["cache"], objects["from_cache"]) == ("hit", True)
+    assert objects["conformance"] is None
+    assert objects["token_count"] == len(OBJECTS_REPLY.split())
+    (constants,) = by_stage["section:constants"]
+    assert constants["conformance"] == "verbatim"
