@@ -82,10 +82,6 @@ class DimensionMismatch(RetrievalError):
     """Embedder dimension differs from the store dimension."""
 
 
-class EmbedderUnavailable(RetrievalError):
-    """Remote embedder could not be reached."""
-
-
 # --- pipeline -----------------------------------------------------------
 
 

@@ -345,22 +345,23 @@ class PlaybackBackend:
         return cls(data.get("by_stage"), data.get("by_digest"))
 
     def invoke(self, request: PromptRequest) -> tuple[str, int]:
+        # hash the prompt only when there is a digest table to look it up in
+        digest = cache_key(request) if self.by_digest else None
         with self._lock:
             self.call_count += 1
-            digest = cache_key(request)
             if digest in self.by_digest:
                 text = self.by_digest[digest]
                 return text, len(text.split())
-            queue = self.by_stage.get(request.stage_tag)
+            queue = self.by_stage.get(request.stage_tag, ())
             cursor = self._cursors.get(request.stage_tag, 0)
-            if queue is None or cursor >= len(queue):
-                raise PlaybackMiss(
-                    f"no scripted response for stage '{request.stage_tag}' "
-                    f"(request {digest[:12]}, ordinal {cursor})"
-                )
-            self._cursors[request.stage_tag] = cursor + 1
-            text = queue[cursor]
-            return text, len(text.split())
+            if cursor < len(queue):
+                self._cursors[request.stage_tag] = cursor + 1
+                text = queue[cursor]
+                return text, len(text.split())
+        raise PlaybackMiss(
+            f"no scripted response for stage '{request.stage_tag}' "
+            f"(request {(digest or cache_key(request))[:12]}, ordinal {cursor})"
+        )
 
 
 # --- the gateway ---------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,6 +37,13 @@ from .scenic.validator import BUILTIN_BEHAVIORS, ModelRegistry, validate
 _PLACEMENT_TOLERANCE = 1.0
 
 DEFAULT_MAX_REJECTIONS = 1_000
+
+# binary operators other than the short-circuiting 'and' and 'or'
+_BINOPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+    "==": operator.eq, "!=": operator.ne,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
 
 
 # --- road network ----------------------------------------------------------
@@ -434,19 +442,7 @@ class _SceneEvaluator:
             return left if left else self._force(self._eval(node.right, env))
         left = self._force(self._eval(node.left, env))
         right = self._force(self._eval(node.right, env))
-        ops = {
-            "+": lambda: left + right,
-            "-": lambda: left - right,
-            "*": lambda: left * right,
-            "/": lambda: left / right,
-            "==": lambda: left == right,
-            "!=": lambda: left != right,
-            "<": lambda: left < right,
-            "<=": lambda: left <= right,
-            ">": lambda: left > right,
-            ">=": lambda: left >= right,
-        }
-        return ops[node.op]()
+        return _BINOPS[node.op](left, right)
 
     def _bind_behavior(self, handle: _BehaviorHandle, args, kwargs) -> BoundBehavior:
         supplied = len(args) + len(kwargs)

@@ -1,7 +1,7 @@
 """Scenario DSL toolchain: lexer, parser, validator, formatter, stitcher."""
 
 from . import ast
-from .diagnostics import ERROR, WARNING, Diagnostic, has_errors, render_diagnostics
+from .diagnostics import ERROR, Diagnostic, has_errors, render_diagnostics
 from .formatter import format_expr, format_program, format_section, format_statement
 from .parser import ParseResult, SectionResult, parse_program, parse_section
 from .sections import ProgramParts, SectionPart, compile_section, stitch
@@ -25,7 +25,7 @@ SECTION_KINDS = ast.SECTION_KINDS
 
 __all__ = [
     "ast",
-    "Diagnostic", "ERROR", "WARNING", "has_errors", "render_diagnostics",
+    "Diagnostic", "ERROR", "has_errors", "render_diagnostics",
     "Token", "TokenKind", "KEYWORDS", "tokenize",
     "ParseResult", "SectionResult", "parse_program", "parse_section",
     "format_expr", "format_program", "format_section", "format_statement",

@@ -1,4 +1,4 @@
-"""Compiler diagnostics: location-carrying errors and warnings."""
+"""Compiler diagnostics: location-carrying errors."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 ERROR = "error"
-WARNING = "warning"
 
 
 @dataclass(frozen=True)

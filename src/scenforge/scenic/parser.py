@@ -413,7 +413,10 @@ class _Parser:
         if tok.kind is TokenKind.NUMBER:
             self.advance()
             text = tok.text
-            value = float(text) if ("." in text or "e" in text or "E" in text) else int(text)
+            try:
+                value = float(text) if ("." in text or "e" in text or "E" in text) else int(text)
+            except ValueError:  # an integer with more digits than int() converts
+                raise self.fail(f"integer literal too long ({len(text)} digits)", tok) from None
             return ast.NumberLit(value, line=tok.line, col=tok.col)
         if tok.kind is TokenKind.STRING:
             self.advance()

@@ -1,17 +1,28 @@
 """Lexer for the scenario DSL.
 
-Produces a flat token stream with Python-style indent/dedent tokens.
+`tokenize` is one loop over a single compiled pattern, `_SCAN`, whose
+named alternatives are tried at the current offset: whitespace, comment,
+newline, string, number, word, operator, and one illegal character as
+the catch-all. A token's line is counted at newlines and its column is
+its offset from the start of that line, so nothing steps character by
+character.
+
+Indentation follows Python: at the start of each line that does not
+continue the previous one, the leading spaces and tabs (tab stops every
+4 columns) become indent/dedent tokens, and blank or comment-only lines
+are skipped. A line continues the previous one while a parenthesis or
+bracket is open or when the previous line ended in a comma, which is how
+multi-line object declarations are written; a continued line emits no
+newline token and measures no indentation.
+
 Lexical problems never raise: they are reported as diagnostics and
 scanning continues, so a single pass can surface several errors and the
-lexer is safe on arbitrary byte soup.
-
-Line-joining rules: newlines are suppressed inside parentheses/brackets
-and after a trailing comma, which is how multi-line object declarations
-are written.
+lexer is safe on arbitrary text.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,12 +49,6 @@ KEYWORDS = frozenset(
     }
 )
 
-# longest first so '==' wins over '='
-_OPERATORS = (
-    "==", "!=", "<=", ">=",
-    "=", "<", ">", "+", "-", "*", "/", "(", ")", "[", "]", ",", ":", ".",
-)
-
 _ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", "'": "'", '"': '"'}
 
 
@@ -65,214 +70,22 @@ def source_lines(source: str) -> list[str]:
     return source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-class _Lexer:
-    def __init__(self, source: str):
-        self.src = source.replace("\r\n", "\n").replace("\r", "\n")
-        self.lines = self.src.split("\n")
-        self.n = len(self.src)
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.tokens: list[Token] = []
-        self.diagnostics: list[Diagnostic] = []
-        self.indents = [0]
-        self.paren_depth = 0
-        self.at_line_start = True
-
-    # -- helpers ----------------------------------------------------
-
-    def _snippet(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1]
-        return ""
-
-    def _error(self, message: str, line: int, col: int) -> None:
-        self.diagnostics.append(
-            Diagnostic(ERROR, message, line, col, self._snippet(line))
-        )
-
-    def _emit(self, kind: TokenKind, text: str, line: int, col: int) -> None:
-        self.tokens.append(Token(kind, text, line, col))
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < self.n and self.src[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.src[i] if i < self.n else ""
-
-    def _last_significant(self) -> Token | None:
-        for tok in reversed(self.tokens):
-            if tok.kind not in (TokenKind.NEWLINE, TokenKind.INDENT, TokenKind.DEDENT):
-                return tok
-        return None
-
-    def _line_has_content(self) -> bool:
-        # content since the last newline-ish token
-        for tok in reversed(self.tokens):
-            if tok.kind in (TokenKind.NEWLINE, TokenKind.INDENT, TokenKind.DEDENT):
-                return False
-            return True
-        return False
-
-    def _in_continuation(self) -> bool:
-        last = self._last_significant()
-        return (
-            self.paren_depth > 0
-            or (last is not None and last.is_op(",") and self._line_has_content())
-        )
-
-    # -- indentation ------------------------------------------------
-
-    def _measure_indent(self) -> int | None:
-        """Consume leading whitespace; return width, or None for blank lines."""
-        width = 0
-        while True:
-            ch = self._peek()
-            if ch == " ":
-                width += 1
-                self._advance()
-            elif ch == "\t":
-                width += 4 - (width % 4)
-                self._advance()
-            else:
-                break
-        ch = self._peek()
-        if ch == "#":
-            while self._peek() not in ("", "\n"):
-                self._advance()
-            ch = self._peek()
-        if ch == "\n":
-            self._advance()
-            return None
-        if ch == "":
-            return None
-        return width
-
-    def _apply_indent(self, width: int) -> None:
-        line, col = self.line, self.col
-        if width > self.indents[-1]:
-            self.indents.append(width)
-            self._emit(TokenKind.INDENT, "", line, col)
-            return
-        while width < self.indents[-1]:
-            self.indents.pop()
-            self._emit(TokenKind.DEDENT, "", line, col)
-        if width != self.indents[-1]:
-            self._error("unindent does not match any outer indentation level", line, col)
-
-    # -- token scanners ----------------------------------------------
-
-    def _scan_string(self) -> None:
-        quote = self._peek()
-        line, col = self.line, self.col
-        self._advance()
-        value: list[str] = []
-        while True:
-            ch = self._peek()
-            if ch in ("", "\n"):
-                self._error("unterminated string literal", line, col)
-                break
-            if ch == "\\":
-                esc = self._peek(1)
-                value.append(_ESCAPES.get(esc, "\\" + esc))
-                self._advance(2)
-                continue
-            if ch == quote:
-                self._advance()
-                break
-            value.append(ch)
-            self._advance()
-        self._emit(TokenKind.STRING, "".join(value), line, col)
-
-    def _scan_number(self) -> None:
-        line, col = self.line, self.col
-        start = self.pos
-        while self._peek().isdigit():
-            self._advance()
-        if self._peek() == "." and self._peek(1).isdigit():
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        if self._peek() in ("e", "E") and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in ("+", "-") and self._peek(2).isdigit())
-        ):
-            self._advance()
-            if self._peek() in ("+", "-"):
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        self._emit(TokenKind.NUMBER, self.src[start:self.pos], line, col)
-
-    def _scan_word(self) -> None:
-        line, col = self.line, self.col
-        start = self.pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        word = self.src[start:self.pos]
-        kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
-        self._emit(kind, word, line, col)
-
-    def _scan_operator(self) -> bool:
-        for op in _OPERATORS:
-            if self.src.startswith(op, self.pos):
-                line, col = self.line, self.col
-                if op in ("(", "["):
-                    self.paren_depth += 1
-                elif op in (")", "]"):
-                    self.paren_depth = max(0, self.paren_depth - 1)
-                self._advance(len(op))
-                self._emit(TokenKind.OP, op, line, col)
-                return True
-        return False
-
-    # -- main loop ----------------------------------------------------
-
-    def run(self) -> tuple[list[Token], list[Diagnostic]]:
-        while self.pos < self.n:
-            if self.at_line_start:
-                self.at_line_start = False
-                if not self._in_continuation():
-                    width = self._measure_indent()
-                    if width is None:
-                        self.at_line_start = True
-                        continue
-                    self._apply_indent(width)
-                continue
-            ch = self._peek()
-            if ch in (" ", "\t"):
-                self._advance()
-            elif ch == "\n":
-                if self.paren_depth == 0 and self._line_has_content() and not self._in_continuation():
-                    self._emit(TokenKind.NEWLINE, "\n", self.line, self.col)
-                self._advance()
-                self.at_line_start = True
-            elif ch == "#":
-                while self._peek() not in ("", "\n"):
-                    self._advance()
-            elif ch in ("'", '"'):
-                self._scan_string()
-            elif ch.isdigit():
-                self._scan_number()
-            elif ch.isalpha() or ch == "_":
-                self._scan_word()
-            elif self._scan_operator():
-                pass
-            else:
-                self._error(f"illegal character {ch!r}", self.line, self.col)
-                self._advance()
-        while self.indents[-1] > 0:
-            self.indents.pop()
-            self._emit(TokenKind.DEDENT, "", self.line, self.col)
-        self._emit(TokenKind.EOF, "", self.line, self.col)
-        return self.tokens, self.diagnostics
+_SCAN = re.compile(
+    r"""
+      (?P<space>[ \t]+)
+    | (?P<comment>\#[^\n]*)
+    | (?P<newline>\n)
+    | (?P<string>'(?:\\[\s\S]?|[^\\\n'])*(?P<sq>')?|"(?:\\[\s\S]?|[^\\\n"])*(?P<dq>")?)
+    | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+    | (?P<word>[^\W\d]\w*)
+    | (?P<op>[=!<>]=|[-=<>+*/()\[\],:.])
+    | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_INDENT = re.compile(r"([ \t]*)(\#[^\n]*)?")
+_ESCAPE = re.compile(r"\\([\s\S]?)")
+_LAYOUT = (TokenKind.NEWLINE, TokenKind.INDENT, TokenKind.DEDENT)
 
 
 def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
@@ -282,4 +95,77 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
     lexical diagnostics. Indentation becomes indent/dedent tokens and
     comments are stripped.
     """
-    return _Lexer(source).run()
+    src = source.replace("\r\n", "\n").replace("\r", "\n")
+    lines = src.split("\n")
+    tokens: list[Token] = []
+    diagnostics: list[Diagnostic] = []
+    indents = [0]
+    depth = 0  # open parentheses and brackets
+    line, line_start, pos, n = 1, 0, 0, len(src)
+    at_line_start = True
+
+    def error(message: str, col: int) -> None:
+        diagnostics.append(Diagnostic(ERROR, message, line, col, lines[line - 1]))
+
+    def continued() -> bool:
+        return depth > 0 or bool(tokens) and tokens[-1].is_op(",")
+
+    while pos < n:
+        if at_line_start:
+            at_line_start = False
+            if not continued():
+                m = _INDENT.match(src, pos)
+                pos = m.end()
+                if pos == n:
+                    break
+                if src[pos] == "\n":  # blank or comment-only line
+                    pos += 1
+                    line, line_start, at_line_start = line + 1, pos, True
+                    continue
+                width, col = len(m[1].expandtabs(4)), pos - line_start + 1
+                if width > indents[-1]:
+                    indents.append(width)
+                    tokens.append(Token(TokenKind.INDENT, "", line, col))
+                while width < indents[-1]:
+                    indents.pop()
+                    tokens.append(Token(TokenKind.DEDENT, "", line, col))
+                if width != indents[-1]:
+                    error("unindent does not match any outer indentation level", col)
+        m = _SCAN.match(src, pos)
+        kind, text, col = m.lastgroup, m[0], pos - line_start + 1
+        pos = m.end()
+        if kind == "newline":
+            if tokens and tokens[-1].kind not in _LAYOUT and not continued():
+                tokens.append(Token(TokenKind.NEWLINE, "\n", line, col))
+            line, line_start, at_line_start = line + 1, pos, True
+        elif kind == "string":
+            closed = m["sq"] or m["dq"]
+            if not closed:
+                error("unterminated string literal", col)
+            body = text[1:-1] if closed else text[1:]
+            value = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], "\\" + e[1]), body)
+            tokens.append(Token(TokenKind.STRING, value, line, col))
+            if "\n" in text:  # an escaped newline continues the string
+                line += text.count("\n")
+                line_start = m.start() + text.rindex("\n") + 1
+        elif kind == "number":
+            tokens.append(Token(TokenKind.NUMBER, text, line, col))
+        elif kind == "word":
+            if text[0].isalpha() or text[0] == "_":
+                word_kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
+                tokens.append(Token(word_kind, text, line, col))
+            else:  # \w also admits numeric characters such as '½'
+                error(f"illegal character {text[0]!r}", col)
+                pos = m.start() + 1
+        elif kind == "op":
+            if text in ("(", "["):
+                depth += 1
+            elif text in (")", "]"):
+                depth = max(0, depth - 1)
+            tokens.append(Token(TokenKind.OP, text, line, col))
+        elif kind == "bad":
+            error(f"illegal character {text!r}", col)
+    col = n - line_start + 1
+    tokens.extend(Token(TokenKind.DEDENT, "", line, col) for _ in indents[1:])
+    tokens.append(Token(TokenKind.EOF, "", line, col))
+    return tokens, diagnostics

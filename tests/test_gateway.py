@@ -150,6 +150,22 @@ def test_playback_by_digest_takes_priority():
     assert gateway.complete(req).text == "exact reply"
 
 
+def test_playback_without_digest_table_hashes_only_on_a_miss(monkeypatch):
+    import scenforge.gateway as gateway_module
+
+    hashed = []
+    monkeypatch.setattr(
+        gateway_module, "cache_key", lambda req: hashed.append(req) or cache_key(req)
+    )
+    backend = PlaybackBackend(by_stage={"r1/objects": ["only"]})
+    assert backend.invoke(request()) == ("only", 1)
+    assert hashed == []
+    with pytest.raises(PlaybackMiss, match=cache_key(request())[:12]):
+        backend.invoke(request())
+    assert hashed == [request()]
+    assert backend.call_count == 2
+
+
 def test_playback_from_file(tmp_path):
     path = tmp_path / "t.json"
     path.write_text(json.dumps({"by_stage": {"s/x": ["hi"]}, "by_digest": {}}))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from scenforge.scene import check_validity
 from scenforge.scenic import ast, parse_program, parse_section
 
 
@@ -162,6 +163,25 @@ def test_snippet_matches_cited_line():
     result = parse_program(source)
     diag = result.diagnostics[0]
     assert diag.snippet == source.split("\n")[diag.line - 1]
+
+
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        ("2²", "illegal character '²'"),
+        ("1" * 5000, "integer literal too long (5000 digits)"),
+    ],
+    ids=["superscript-digit", "5000-digit-integer"],
+)
+def test_unreadable_number_literal_is_a_diagnostic(literal, message, registry, cross4):
+    source = f"X = {literal}\n"
+    results = [
+        parse_section(source, "constants").diagnostics,
+        parse_program(source).diagnostics,
+        check_validity(source, registry, cross4, seed=1).diagnostics,
+    ]
+    for diagnostics in results:
+        assert [(d.message, d.line) for d in diagnostics] == [(message, 1)]
 
 
 def test_parser_never_crashes_on_fuzz_bytes():
