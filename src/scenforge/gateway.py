@@ -305,9 +305,9 @@ class RemoteBackend:
                 last_error = exc
                 log.warning("backend request failed (attempt %d): %s", attempt + 1, exc)
                 continue
-            if response.status_code >= 500:
+            if response.status_code >= 500 or response.status_code == 429:  # 429: rate limited
                 last_error = BackendUnavailable(
-                    f"server error {response.status_code} from {self.endpoint}"
+                    f"status {response.status_code} from {self.endpoint}"
                 )
                 continue
             if response.status_code >= 400:
@@ -315,10 +315,17 @@ class RemoteBackend:
                     f"request rejected with status {response.status_code}: "
                     f"{response.text[:200]}"
                 )
-            data = response.json()
-            text = data["choices"][0]["message"]["content"]
-            tokens = data.get("usage", {}).get("completion_tokens", len(text.split()))
-            return text, int(tokens)
+            try:
+                data = response.json()
+                text = data["choices"][0]["message"]["content"]
+                if not isinstance(text, str):
+                    raise TypeError(f"content is {type(text).__name__}, not str")
+                usage = data.get("usage") or {}
+                return text, int(usage.get("completion_tokens", len(text.split())))
+            except (ValueError, LookupError, TypeError, AttributeError) as exc:
+                raise BackendUnavailable(
+                    f"malformed reply from {self.endpoint}: {exc!r}"
+                ) from exc
         raise BackendUnavailable(
             f"backend unreachable after {self.retries} attempts: {last_error}"
         )

@@ -69,13 +69,17 @@ from .scene import ValidityReport, check_validity
 from .scenic import (
     SECTION_KINDS,
     ProgramParts,
+    TokenKind,
+    ast,
     compile_section,
     has_errors,
-    parse_section,
+    parse_expression,
+    parse_section,  # noqa: F401  (bench/tracing.py wraps this name)
     render_diagnostics,
     section_behaviors,
     section_names,
     stitch,
+    tokenize,
 )
 from .scenic.diagnostics import ERROR, Diagnostic
 
@@ -290,18 +294,18 @@ def _interpret_answers(raw) -> tuple[list[Answer], list[prompts.RawAnswer]]:
 
 
 def _parse_assignment_value(label: str, rhs: str):
-    result = parse_section(f"{label} = {rhs}", "constants")
-    if not result.ok or not result.statements:
+    # `label = rhs` is an assignment only when the label is a name, not a
+    # keyword such as `at`
+    tokens, lex_errors = tokenize(label)
+    if lex_errors or [t.kind for t in tokens] != [TokenKind.IDENT, TokenKind.EOF]:
         return None
-    expr = result.statements[0].value
+    expr = parse_expression(rhs)
+    if expr is None:
+        return None
     spec = distribution_from_expr(expr)
     if spec is not None:
         return spec
-    from .scenic import ast as _ast  # local import to keep module surface tidy
-
-    if isinstance(expr, _ast.NumberLit):
-        return expr.value
-    if isinstance(expr, _ast.StringLit):
+    if isinstance(expr, (ast.NumberLit, ast.StringLit)):
         return expr.value
     if prompts.looks_like_distribution(rhs):
         return None

@@ -3,7 +3,7 @@
 from . import ast
 from .diagnostics import ERROR, Diagnostic, has_errors, render_diagnostics
 from .formatter import format_expr, format_program, format_section, format_statement
-from .parser import ParseResult, SectionResult, parse_program, parse_section
+from .parser import ParseResult, SectionResult, parse_expression, parse_program, parse_section
 from .sections import ProgramParts, SectionPart, compile_section, stitch
 from .tokens import KEYWORDS, Token, TokenKind, tokenize
 from .validator import (
@@ -27,7 +27,7 @@ __all__ = [
     "ast",
     "Diagnostic", "ERROR", "has_errors", "render_diagnostics",
     "Token", "TokenKind", "KEYWORDS", "tokenize",
-    "ParseResult", "SectionResult", "parse_program", "parse_section",
+    "ParseResult", "SectionResult", "parse_expression", "parse_program", "parse_section",
     "format_expr", "format_program", "format_section", "format_statement",
     "ModelRegistry", "default_registry", "load_registry",
     "validate", "validate_section", "section_behaviors", "section_names",

@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 from scenforge.gateway import PlaybackBackend
+from scenforge.scenic import TokenKind, tokenize
 
 # --- canned report ---------------------------------------------------------
 
@@ -254,3 +255,16 @@ def round_trips(calls) -> int:
             count += 1
         reach = max(reach, end)
     return count
+
+
+# --- parser inputs ----------------------------------------------------------------
+
+
+def has_non_finite_literal(source: str) -> bool:
+    """True when a float literal in source overflows to infinity, which the
+    parser rejects and its reference oracle read as `inf`."""
+    return any(
+        t.kind is TokenKind.NUMBER and any(c in t.text for c in ".eE")
+        and float(t.text) == float("inf")
+        for t in tokenize(source)[0]
+    )

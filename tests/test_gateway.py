@@ -277,6 +277,8 @@ class _StubResponse:
         self.text = text
 
     def json(self):
+        if isinstance(self._payload, Exception):
+            raise self._payload
         return self._payload
 
 
@@ -352,3 +354,58 @@ def test_remote_backend_recovers_after_transient_error():
     )
     text, _ = backend.invoke(request())
     assert text == "ok"
+
+
+def test_remote_backend_retries_a_rate_limit():
+    session = _StubSession(
+        [_StubResponse(429, text="slow down"), _StubResponse(200, _chat_payload("ok"))]
+    )
+    backend = RemoteBackend(
+        "https://api.example/v1/chat", session=session, retries=3, backoff_seconds=0.0
+    )
+    text, _ = backend.invoke(request())
+    assert text == "ok"
+    assert len(session.requests) == 2
+
+
+def _malformed_replies():
+    import requests as requests_lib
+
+    return {
+        "no-choices": {"error": "overloaded"},
+        "empty-choices": {"choices": []},
+        "null-content": {"choices": [{"message": {"content": None}}]},
+        "not-json": requests_lib.exceptions.JSONDecodeError("Expecting value", "<html>", 0),
+        "list-body": ["not", "an", "object"],
+        "bad-usage": {"choices": [{"message": {"content": "ok"}}], "usage": {"completion_tokens": "x"}},
+    }
+
+
+@pytest.mark.parametrize("case", list(_malformed_replies()))
+def test_remote_backend_malformed_reply_is_backend_unavailable(case):
+    session = _StubSession([_StubResponse(200, _malformed_replies()[case])])
+    backend = RemoteBackend(
+        "https://api.example/v1/chat", session=session, retries=3, backoff_seconds=0.0
+    )
+    with pytest.raises(BackendUnavailable, match="malformed reply"):
+        backend.invoke(request())
+    assert len(session.requests) == 1
+
+
+def test_run_report_survives_malformed_remote_replies(tmp_path, config):
+    from scenforge.pipeline import run_report
+    from scenforge.reports import load_report
+    from support import write_report
+
+    replies = [_StubResponse(200, payload) for payload in _malformed_replies().values()]
+    session = _StubSession(replies * 10)
+    backend = RemoteBackend(
+        "https://api.example/v1/chat", session=session, retries=1, backoff_seconds=0.0
+    )
+    gateway = Gateway(backend, cache=MemoryCache())
+    try:
+        result = run_report(load_report(write_report(tmp_path)), config, gateway)
+    finally:
+        gateway.close()
+    assert not result.success
+    assert result.failure.startswith("objects")

@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 
 from scenforge.scene import check_validity
-from scenforge.scenic import ast, parse_program, parse_section
+from scenforge.scenic import ast, format_program, parse_expression, parse_program, parse_section
+from scenforge.scenic.parser import _MAX_DEPTH
 
 
 def program_of(source: str):
@@ -170,8 +171,9 @@ def test_snippet_matches_cited_line():
     [
         ("2²", "illegal character '²'"),
         ("1" * 5000, "integer literal too long (5000 digits)"),
+        ("1e999", "number literal out of range"),
     ],
-    ids=["superscript-digit", "5000-digit-integer"],
+    ids=["superscript-digit", "5000-digit-integer", "infinite-float"],
 )
 def test_unreadable_number_literal_is_a_diagnostic(literal, message, registry, cross4):
     source = f"X = {literal}\n"
@@ -217,3 +219,292 @@ def test_fuzzed_diagnostics_stay_inside_the_source(source):
         assert diag.col >= 1
         if diag.snippet:
             assert diag.snippet == lines[diag.line - 1]
+
+
+def test_non_finite_literal_no_longer_places_ego_at_nan(registry, cross4):
+    report = check_validity("X = 1e999\nego = new Car at (0, X - X)\n", registry, cross4, seed=1)
+    assert not report.valid
+    assert [(d.message, d.line, d.col) for d in report.diagnostics] == [
+        ("number literal out of range", 1, 5),
+    ]
+
+
+def test_parse_expression_takes_exactly_one_expression():
+    assert parse_expression("Normal(10, 1)") == ast.Call(
+        ast.Name("Normal"), (ast.NumberLit(10), ast.NumberLit(1))
+    )
+    assert parse_expression("lambda v: v  # note") == ast.Lambda("v", ast.Name("v"))
+    for source in ["", "1 = 2", "Normal(1, 2) x", "new Car", "1,", "'open", "1e999", "(" * 200]:
+        assert parse_expression(source) is None, source
+
+
+# --- the nesting limit ----------------------------------------------------------
+
+TOO_DEEP = f"too deeply nested (more than {_MAX_DEPTH} levels)"
+
+# each builds an expression exactly n levels deep, and names the token whose
+# node crosses the limit at n + 1 with its occurrence on the line
+DEEP_SHAPES = {
+    "parentheses": ("(", 0, lambda n: "(" * (n - 1) + "1" + ")" * (n - 1)),
+    "sum": ("+", 0, lambda n: " + ".join(["1"] * n)),
+    "comparison-and": ("and", -1, lambda n: " and ".join(["a < b"] * (n - 1))),
+    # the group counts a level, so its height adds to the outer chain's
+    "grouped-sum": ("+", -1, lambda n: "(" + " + ".join(["1"] * (n // 2)) + ")"
+                    + " + 1" * (n - n // 2 - 1)),
+    "not": ("not", 0, lambda n: "not " * (n - 1) + "a"),
+    "minus": ("-", 0, lambda n: "-" * (n - 1) + "1"),
+    "attributes": (".", 0, lambda n: "a" + ".b" * (n - 1)),
+    "calls": ("(", 0, lambda n: "f" + "()" * (n - 1)),
+    "indexes": ("[", 0, lambda n: "a" + "[0]" * (n - 1)),
+    "lists": ("[", 0, lambda n: "[" * (n - 1) + "1" + "]" * (n - 1)),
+    "empty-lists": ("[", 0, lambda n: "[" * n + "]" * n),
+    "lambdas": ("lambda", 0, lambda n: "lambda x: " * (n - 1) + "x"),
+    # f(*a) is three levels (call, starred argument, name); the outermost
+    # call is the one that crosses
+    "starred": ("(", 1 - _MAX_DEPTH, lambda n: "-" * ((n - 1) % 2) + "f(*" * ((n - 1) // 2)
+                + "a" + ")" * ((n - 1) // 2)),
+}
+
+
+def nth_col(line: str, token: str, n: int) -> int:
+    col = -1
+    for _ in range(n):
+        col = line.index(token, col + 1)
+    return col + 1
+
+
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
+def test_expression_at_the_limit_parses_and_round_trips(shape):
+    _, _, build = DEEP_SHAPES[shape]
+    source = f"X = {build(_MAX_DEPTH)}\n"
+    first = parse_program(source)
+    assert first.ok, [d.message for d in first.diagnostics]
+    assert parse_program(format_program(first.program)).program == first.program
+
+
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
+def test_one_level_past_the_limit_is_one_diagnostic_at_the_crossing_token(
+    shape, registry, cross4
+):
+    token, offset, build = DEEP_SHAPES[shape]
+    line = f"X = {build(_MAX_DEPTH + 1)}"
+    expected = [(TOO_DEEP, 1, nth_col(line, token, _MAX_DEPTH + offset))]
+    source = line + "\n"
+    for diagnostics in (
+        parse_section(source, "constants").diagnostics,
+        parse_program(source).diagnostics,
+        check_validity(source, registry, cross4, seed=1).diagnostics,
+    ):
+        assert [(d.message, d.line, d.col) for d in diagnostics] == expected
+
+
+def nested_interrupts(blocks: int) -> str:
+    lines = ["behavior B():"]
+    for level in range(1, blocks + 1):
+        lines.append("    " * level + "interrupt when True:")
+    lines.append("    " * (blocks + 1) + "wait")
+    return "\n".join(lines) + "\n"
+
+
+def test_depth_starts_afresh_after_a_failed_statement():
+    at_limit = DEEP_SHAPES["sum"][2](_MAX_DEPTH)
+    result = parse_program(f"X = ((((f(1 +)))))\nY = {at_limit}\n")
+    assert [(d.message, d.line) for d in result.diagnostics] == [
+        ("expected an expression, found ')'", 1),
+    ]
+
+
+def test_600_nested_interrupt_blocks_do_not_overflow(registry, cross4):
+    source = nested_interrupts(600)
+    for diagnostics in (
+        parse_section(source, "behaviors").diagnostics,
+        parse_program(source).diagnostics,
+        check_validity(source, registry, cross4, seed=1).diagnostics,
+    ):
+        assert diagnostics[0].message == TOO_DEEP
+
+
+def test_interrupt_blocks_count_toward_the_limit():
+    at_limit = parse_section(nested_interrupts(_MAX_DEPTH - 1), "behaviors")
+    assert at_limit.ok
+    assert parse_program(format_program(parse_program(nested_interrupts(_MAX_DEPTH - 1)).program)).ok
+    past = parse_section(nested_interrupts(_MAX_DEPTH), "behaviors")
+    # recovery then resumes inside the open blocks, as after any error there
+    assert [(d.message, d.line) for d in past.diagnostics] == [
+        (TOO_DEEP, _MAX_DEPTH + 1), ("unexpected indent", _MAX_DEPTH + 2),
+    ]
+    # an expression inside nested blocks has the remaining levels only
+    deepest = nested_interrupts(_MAX_DEPTH - 1)
+    assert parse_section(deepest.replace("wait", "take a"), "behaviors").ok
+    inside = parse_section(deepest.replace("wait", "take (a)"), "behaviors")
+    assert [(d.message, d.line) for d in inside.diagnostics] == [(TOO_DEEP, _MAX_DEPTH + 1)]
+
+
+REPROS = {
+    "100-parentheses": "X = " + "(" * 100 + "1" + ")" * 100,
+    "1500-term-sum": "X = " + " + ".join(["1"] * 1500),
+    "500-term-sum": "X = " + " + ".join(["1"] * 500),
+    "2000-nots": "X = " + "not " * 2000 + "a",
+    "2000-minuses": "X = " + "-" * 2000 + "1",
+}
+
+
+@pytest.mark.parametrize("name", REPROS)
+def test_deep_input_is_one_diagnostic_everywhere(name, registry, cross4):
+    source = REPROS[name] + "\n"
+    section = parse_section(source, "constants")
+    program = parse_program(source)
+    validity = check_validity(source, registry, cross4, seed=1)
+    for diagnostics in (section.diagnostics, program.diagnostics, validity.diagnostics):
+        assert [d.message for d in diagnostics] == [TOO_DEEP]
+    assert not validity.valid
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "X = [" + ", ".join(str(i) for i in range(5000)) + "]",
+        "X = f(" + ", ".join(f"a{i}" for i in range(300)) + ")",
+        "X = f(" + ", ".join(f"k{i}=(1 + 2) * 3" for i in range(300)) + ")",
+    ],
+    ids=["5000-element-list", "300-argument-call", "300-keyword-call"],
+)
+def test_wide_shallow_input_parses(source, registry, cross4):
+    first = parse_program(source)
+    assert first.ok, [d.message for d in first.diagnostics][:3]
+    assert parse_program(format_program(first.program)).program == first.program
+    validity = check_validity(source + "\nego = new Car at (0, 0)\n", registry, cross4, seed=1)
+    assert validity.syntactic
+
+
+# --- equivalence with the reference parser ----------------------------------------
+
+from pathlib import Path  # noqa: E402
+
+from hypothesis import assume, example  # noqa: E402
+from reference_parser import reference_parse_program, reference_parse_section  # noqa: E402
+
+from scenforge.bundled import example_program_paths  # noqa: E402
+from support import has_non_finite_literal  # noqa: E402
+
+from scenforge.scenic import SECTION_KINDS  # noqa: E402
+
+CORPUS = [
+    path.read_text(encoding="utf-8")
+    for path in sorted((Path(__file__).parent / "golden").glob("*.scenic"))
+    + example_program_paths()
+]
+
+ATOMS = ["1", "2.5", "1e3", "'s'", "True", "False", "a", "b", "ego", "Normal", "f"]
+INFIX = ["or", "and", "==", "!=", "<=", ">=", "<", ">", "+", "-", "*", "/"]
+PREFIX = ["not", "-", "+", "- -", "not not"]
+
+# operands and operators without parentheses, so that the parsers must agree
+# on precedence, associativity, where `not` may stand and chained comparisons
+operand = st.tuples(st.lists(st.sampled_from(PREFIX), max_size=2), st.sampled_from(ATOMS)).map(
+    lambda t: " ".join(t[0] + [t[1]])
+)
+operator_chains = st.tuples(
+    operand, st.lists(st.tuples(st.sampled_from(INFIX), operand).map(" ".join), max_size=6)
+).map(lambda t: " ".join([t[0]] + t[1]))
+
+# expression text over the DSL alphabet
+dsl_expressions = st.recursive(
+    st.one_of(st.sampled_from(ATOMS), operator_chains),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(INFIX), inner).map(" ".join),
+        st.tuples(st.sampled_from(PREFIX), inner).map(" ".join),
+        inner.map("({})".format),
+        st.lists(inner, max_size=3).map(lambda xs: "[" + ", ".join(xs) + "]"),
+        st.lists(inner, min_size=1, max_size=3).map(lambda xs: "(" + ", ".join(xs) + ",)"),
+        st.tuples(inner, st.lists(inner, max_size=3)).map(
+            lambda t: f"{t[0]}({', '.join(t[1])})"
+        ),
+        st.tuples(inner, inner).map(lambda t: f"f(*{t[0]}, k={t[1]})"),
+        st.tuples(inner, inner).map(lambda t: f"{t[0]}[{t[1]}]"),
+        inner.map("{}.y".format),
+        inner.map("lambda x: {}".format),
+    ),
+    max_leaves=14,
+)
+
+STATEMENT_FORMS = [
+    "X = {}",
+    "require {}",
+    "terminate when {}",
+    "ego = new Car at {}, with speed {}",
+    "behavior B(x):\n    take {}\n    interrupt when {}:\n        do f({})\n    wait",
+]
+
+
+@st.composite
+def dsl_programs(draw):
+    statements = []
+    for _ in range(draw(st.integers(1, 3))):
+        form = draw(st.sampled_from(STATEMENT_FORMS))
+        statements.append(form.format(*draw(st.lists(dsl_expressions, min_size=3, max_size=3))))
+    return "\n".join(statements) + "\n"
+
+
+TOKENS = ATOMS + INFIX + [
+    "not", "lambda", "new", "at", "with", "require", "terminate", "when", "behavior",
+    "take", "wait", "do", "interrupt", "following", "from", "for", "on", "roadDirection",
+    "(", ")", "[", "]", ",", ":", ".", "=", "*", "\n", "\n    ", "X =", "1e999",
+]
+token_soup = st.lists(st.sampled_from(TOKENS), max_size=40).map(" ".join)
+
+
+@st.composite
+def corpus_slices(draw):
+    text = draw(st.sampled_from(CORPUS))
+    start = draw(st.integers(0, len(text)))
+    chars = list(text[start:draw(st.integers(start, len(text)))])
+    for _ in range(draw(st.integers(0, 3))):
+        if chars:
+            chars[draw(st.integers(0, len(chars) - 1))] = draw(st.sampled_from(TOKENS))
+    return "".join(chars)
+
+
+def outcomes(program_parser, section_parser, source):
+    """Every public parse of source, AST positions and diagnostics included."""
+    return [repr(program_parser(source))] + [
+        repr(section_parser(source, kind)) for kind in SECTION_KINDS
+    ]
+
+
+@given(st.one_of(operator_chains.map("X = {}\n".format), dsl_programs(), token_soup, corpus_slices()))
+@example("require 1 < 2 < 3\nX = a == not b\nY = not a and - b * c or d\n")
+@example("X = - a . b ( 1 ) [ 2 ] * + 3 - not\nrequire not not a != b\n")
+@example("ego = new Car at (1, 2,), with speed f(*a, k = [], )\n")
+@settings(max_examples=500, deadline=None)
+def test_same_asts_and_diagnostics_as_the_reference_parser(source):
+    assume(not has_non_finite_literal(source))
+    new = outcomes(parse_program, parse_section, source)
+    assume(TOO_DEEP not in new[0])
+    assert new == outcomes(reference_parse_program, reference_parse_section, source)
+
+
+@pytest.mark.parametrize("index", range(len(CORPUS)))
+def test_corpus_files_parse_as_the_reference_does(index):
+    source = CORPUS[index]
+    assert outcomes(parse_program, parse_section, source) == outcomes(
+        reference_parse_program, reference_parse_section, source
+    )
+
+
+# --- the two deliberate differences from the reference parser --------------------
+
+
+def test_reference_overflows_where_the_limit_reports(registry, cross4):
+    source = REPROS["100-parentheses"] + "\n"
+    with pytest.raises(RecursionError):
+        reference_parse_program(source)
+    assert [d.message for d in parse_program(source).diagnostics] == [TOO_DEEP]
+
+
+def test_reference_reads_an_infinite_float():
+    (decl,) = reference_parse_program("X = 1e999\n").program.constants
+    assert decl.value == ast.NumberLit(float("inf"))
+    assert [d.message for d in parse_program("X = 1e999\n").diagnostics] == [
+        "number literal out of range"
+    ]

@@ -33,6 +33,7 @@ from support import (
     SPATIAL_SECTION,
     CallableBackend,
     happy_transcript,
+    has_non_finite_literal,
     playback,
     repair_transcript,
     stage_router,
@@ -517,3 +518,83 @@ def test_persisted_trace_records_stage_cache_and_conformance(report, config, tmp
     assert objects["token_count"] == len(OBJECTS_REPLY.split())
     (constants,) = by_stage["section:constants"]
     assert constants["conformance"] == "verbatim"
+
+
+# --- answer values parse as one expression ------------------------------------------
+
+from hypothesis import assume, example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from reference_parser import reference_parse_section  # noqa: E402
+
+from scenforge import prompts  # noqa: E402
+from scenforge.distributions import distribution_from_expr  # noqa: E402
+from scenforge.pipeline import _parse_assignment_value  # noqa: E402
+from scenforge.scenic import ast  # noqa: E402
+
+
+def reference_assignment_value(label: str, rhs: str):
+    """The answer parse before `parse_expression`: a whole constants-section
+    parse of `label = rhs` on the reference parser."""
+    result = reference_parse_section(f"{label} = {rhs}", "constants")
+    if not result.ok or not result.statements:
+        return None
+    expr = result.statements[0].value
+    spec = distribution_from_expr(expr)
+    if spec is not None:
+        return spec
+    if isinstance(expr, (ast.NumberLit, ast.StringLit)):
+        return expr.value
+    if prompts.looks_like_distribution(rhs):
+        return None
+    return rhs
+
+
+LABELS = ["SPEED", "x_1", "_", "at", "new", "True", "lambda", "not", "with", "Normal"]
+RHS_FRAGMENTS = [
+    "Normal(10, 1)", "TruncatedNormal(5, 1, 4, 6)", "Range(1, 2)", "Uniform('a', 'b')",
+    "new Car", "new Car at (0, 0)", "1 = 2", "Normal(1, 2) x", "lambda v: v * 2",
+    "# note", "5", "-3.5", "'red'", "\"it's\"", "(1, 2)", "[1, 2]", "a.b", "f(k=1)",
+    "stationary", "about 10 mph", "1,", "(", ")", "=", "not", "and", "*", "1e3", "'open",
+]
+
+
+@st.composite
+def answer_lines(draw):
+    label = draw(st.sampled_from(LABELS) | st.from_regex(r"[A-Za-z_]\w{0,6}", fullmatch=True))
+    rhs = " ".join(draw(st.lists(st.sampled_from(RHS_FRAGMENTS), min_size=1, max_size=4)))
+    return f"{label} = {rhs}"
+
+
+@given(answer_lines())
+@example("at = 5")
+@example("new = Normal(1, 2)")
+@example("X = new Car at (0, 0)")
+@example("X = 1 = 2")
+@example("X = Normal(1, 2) x")
+@example("X = lambda v: v")
+@example("X = 5 # note")
+@settings(max_examples=300, deadline=None)
+def test_answer_value_matches_the_whole_section_parse(line):
+    (answer,) = prompts.parse_answers(line)
+    assume(answer.is_assignment and not has_non_finite_literal(answer.text))
+    assert _parse_assignment_value(answer.label, answer.text) == reference_assignment_value(
+        answer.label, answer.text
+    )
+
+
+@pytest.mark.parametrize(
+    "deep",
+    [
+        "(" * 100 + "1" + ")" * 100,
+        " + ".join(["1"] * 1500),
+        "not " * 2000 + "a",
+        "-" * 2000 + "1",
+    ],
+    ids=["parentheses", "sum", "nots", "minuses"],
+)
+def test_run_report_survives_deeply_nested_replies(report, config, deep):
+    transcript = happy_transcript(constants=f"BIKE_SPEED = {deep}\n")
+    transcript["r1/answers"] = [ANSWERS_REPLY.replace("Normal(10, 1)", deep)]
+    result = run_report(report, config, gateway_for(transcript))
+    assert not result.success
+    assert result.failure.startswith("section:constants")
