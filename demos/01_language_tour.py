@@ -8,7 +8,6 @@ wrong. Run it directly:
 """
 
 from scenforge.scenic import (
-    ProgramParts,
     compile_section,
     default_registry,
     format_program,
@@ -76,9 +75,7 @@ print("\n".join(rendered.splitlines()[:4]))
 
 # --- stitching sections ------------------------------------------------------
 
-parts = ProgramParts.empty()
-parts.spatial.text = "ego = new Car at (0, 0)"
-parts.constants.text = "SPEED = Range(5, 15)"
-stitched = stitch(parts)
+# stitch takes section texts keyed by kind, in any order
+stitched = stitch({"spatial": "ego = new Car at (0, 0)", "constants": "SPEED = Range(5, 15)"})
 print("\nstitched program (constants always come first):")
 print(stitched)

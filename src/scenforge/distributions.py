@@ -177,19 +177,11 @@ def distribution_from_expr(expr) -> DistributionSpec | None:
         return None
     try:
         if name == "Uniform":
-            options = []
-            for arg in expr.args:
-                value = _literal_value(arg)
-                if value is None:
-                    return None
-                options.append(value)
-            return DistributionSpec.uniform_choice(options)
-        numbers = []
-        for arg in expr.args:
-            value = _fold_number(arg)
-            if value is None:
-                return None
-            numbers.append(value)
+            options = [_literal_value(arg) for arg in expr.args]
+            return None if None in options else DistributionSpec.uniform_choice(options)
+        numbers = [_ast.fold_number(arg) for arg in expr.args]
+        if None in numbers:
+            return None
         if name == "Normal" and len(numbers) == 2:
             return DistributionSpec.normal(*numbers)
         if name == "TruncatedNormal" and len(numbers) == 4:
@@ -202,31 +194,4 @@ def distribution_from_expr(expr) -> DistributionSpec | None:
 
 
 def _literal_value(node):
-    if isinstance(node, _ast.StringLit):
-        return node.value
-    return _fold_number(node)
-
-
-def _fold_number(node, _depth: int = 0) -> float | None:
-    if _depth > 32:
-        return None
-    if isinstance(node, _ast.NumberLit):
-        return float(node.value)
-    if isinstance(node, _ast.UnaryOp) and node.op in ("+", "-"):
-        inner = _fold_number(node.operand, _depth + 1)
-        if inner is None:
-            return None
-        return inner if node.op == "+" else -inner
-    if isinstance(node, _ast.BinOp) and node.op in ("+", "-", "*", "/"):
-        left = _fold_number(node.left, _depth + 1)
-        right = _fold_number(node.right, _depth + 1)
-        if left is None or right is None:
-            return None
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        return left / right if right != 0 else None
-    return None
+    return node.value if isinstance(node, _ast.StringLit) else _ast.fold_number(node)

@@ -14,13 +14,6 @@ class MalformedReport(ScenForgeError):
     """Report file is missing required content or is structurally invalid."""
 
 
-# --- scenario language --------------------------------------------------
-
-
-class StitchError(ScenForgeError):
-    """A program part with unresolved error diagnostics was passed to stitch."""
-
-
 # --- scene sampling -----------------------------------------------------
 
 

@@ -7,8 +7,9 @@ missing property, the panel answers them (directly or as probability
 distributions), and the program is generated by parts under per-section
 line constraints, with retrieved examples in the prompt. Each part is
 compiled; compiler diagnostics drive a bounded zero-shot repair loop.
-Clean parts are stitched and the whole program must instantiate a scene,
-with a second bounded repair loop on failure.
+The clean section texts, keyed by kind, are stitched in canonical order,
+and the whole program must instantiate a scene, with a second bounded
+repair loop on failure.
 
 Model calls run in four layers, each joined before the next starts:
 
@@ -68,7 +69,6 @@ from .retrieval import LocalHashEmbedder, VectorStore, hyde_query
 from .scene import ValidityReport, check_validity
 from .scenic import (
     SECTION_KINDS,
-    ProgramParts,
     TokenKind,
     ast,
     compile_section,
@@ -111,9 +111,6 @@ class PipelineConfig:
     seed: int = 0
     registry: object = None
     network: object = None
-    max_rejections: int = 1000
-    temperature: float = 0.0
-    max_tokens: int = 1024
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -170,10 +167,6 @@ class Answer:
     text: str
     value: object  # DistributionSpec, str, float, or None
     source: str    # model | reprompt | fallback
-
-    @property
-    def is_distribution(self) -> bool:
-        return isinstance(self.value, DistributionSpec)
 
 
 class _TraceRecorder:
@@ -410,14 +403,13 @@ def repair_section(
     )
 
 
-def finalize(parts: ProgramParts, config: PipelineConfig, gateway: Gateway,
+def finalize(texts: dict, config: PipelineConfig, gateway: Gateway,
              factory: PromptFactory, report_id: str):
-    """Stitch, check validity (including scene instantiation), and run the
-    whole-program repair loop when the execution check fails."""
-    program = stitch(parts)
-    validity = check_validity(
-        program, config.registry, config.network, config.seed, config.max_rejections
-    )
+    """Stitch the section texts (keyed by kind), check validity (including
+    scene instantiation), and run the whole-program repair loop when the
+    execution check fails."""
+    program = stitch(texts)
+    validity = check_validity(program, config.registry, config.network, config.seed)
     attempts = 0
     while not validity.valid and attempts < config.program_retry_budget:
         attempts += 1
@@ -426,9 +418,7 @@ def finalize(parts: ProgramParts, config: PipelineConfig, gateway: Gateway,
         )
         completion = gateway.complete(request)
         program = extract_code(completion.text)
-        validity = check_validity(
-            program, config.registry, config.network, config.seed, config.max_rejections
-        )
+        validity = check_validity(program, config.registry, config.network, config.seed)
     return program, validity, attempts
 
 
@@ -441,7 +431,7 @@ def _retrieve_examples(report, config, gateway, factory, retrieval) -> list[str]
     retrieved examples for all three section prompts."""
 
     def draft_generator(_text: str) -> str:
-        request = factory.draft_request(report, _fixed_examples())
+        request = factory.baseline_request(report, "hyde_draft", _fixed_examples())
         return extract_code(gateway.complete(request).text)
 
     result = hyde_query(
@@ -523,7 +513,7 @@ def _compose(report, config, gateway, retrieval, recorder, repairs):
     """The four layers of model calls, then section compile and repair,
     then finalize. Returns (program, validity) and fills ``repairs``; a
     stage failure raises _StageFailed."""
-    factory = PromptFactory(config.model_id, config.temperature, config.max_tokens)
+    factory = PromptFactory(config.model_id)
 
     # layer 1: objects | HyDE draft; the draft's trace follows answers
     objects_run = _StageRun(stage_objects, report, gateway, factory)
@@ -564,7 +554,7 @@ def _compose(report, config, gateway, retrieval, recorder, repairs):
 
     # compile and repair in canonical order: a section sees the names and
     # behaviors of the sections before it
-    parts = ProgramParts.empty()
+    texts: dict[str, str] = {}
     env: set[str] = set()
     behaviors_map: dict = {}
     for index, (kind, (stage, run)) in enumerate(zip(SECTION_KINDS, sections)):
@@ -591,7 +581,7 @@ def _compose(report, config, gateway, retrieval, recorder, repairs):
                         stage, run.events, str(exc),
                         getattr(exc, "diagnostics", diags), later,
                     ) from exc
-        parts.part(kind).text = text
+        texts[kind] = text
         repairs[kind] = count
         env |= section_names(statements)
         if kind == "behaviors":
@@ -605,7 +595,7 @@ def _compose(report, config, gateway, retrieval, recorder, repairs):
     with recording(events):
         try:
             program, validity, program_repairs = finalize(
-                parts, config, gateway, factory, report.id
+                texts, config, gateway, factory, report.id
             )
         except (GatewayError, ScenForgeError) as exc:
             raise _StageFailed("finalize", events, str(exc)) from exc
@@ -634,7 +624,7 @@ def run_baseline(
     if strategy not in BASELINE_STRATEGIES:
         raise ValueError(f"unknown baseline strategy {strategy!r}")
     retrieval = retrieval or RetrievalSetup()
-    factory = PromptFactory(config.model_id, config.temperature, config.max_tokens)
+    factory = PromptFactory(config.model_id)
     recorder = _TraceRecorder()
     events: list = []
     start = time.perf_counter()
@@ -677,9 +667,7 @@ def run_baseline(
     except (GatewayError, ScenForgeError) as exc:
         return failed(strategy, str(exc))
 
-    validity = check_validity(
-        program, config.registry, config.network, config.seed, config.max_rejections
-    )
+    validity = check_validity(program, config.registry, config.network, config.seed)
     return RunResult(
         report_id=report.id,
         strategy=strategy,
@@ -693,13 +681,13 @@ def run_baseline(
 
 
 def _constrained_baseline(report, gateway, factory, recorder, events) -> str:
-    parts = ProgramParts.empty()
+    texts = {}
     for kind in SECTION_KINDS:
         request = factory.baseline_section_request(report, kind)
         completion = gateway.complete_constrained(request, section_constraint(kind))
-        parts.part(kind).text = completion.text
+        texts[kind] = completion.text
         recorder.close(f"section:{kind}", events)
-    return stitch(parts)
+    return stitch(texts)
 
 
 def run_report(

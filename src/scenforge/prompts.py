@@ -81,27 +81,14 @@ def looks_like_distribution(text: str) -> bool:
 
 
 class PromptFactory:
-    """Builds every request the pipeline issues, with one model/knob set."""
+    """Builds every request the pipeline issues for one model, with the
+    sampling defaults of PromptRequest."""
 
-    def __init__(
-        self,
-        model_id: str,
-        temperature: float = 0.0,
-        max_tokens: int = 1024,
-    ):
+    def __init__(self, model_id: str):
         self.model_id = model_id
-        self.temperature = temperature
-        self.max_tokens = max_tokens
 
     def _request(self, system: str, user_text: str, stage_tag: str) -> PromptRequest:
-        return PromptRequest.single(
-            self.model_id,
-            system,
-            user_text,
-            stage_tag,
-            temperature=self.temperature,
-            max_tokens=self.max_tokens,
-        )
+        return PromptRequest.single(self.model_id, system, user_text, stage_tag)
 
     # -- stage 1: object identification --------------------------------
 
@@ -193,17 +180,6 @@ class PromptFactory:
             blocks.append(f"Example program {i + 1}:\n{example.rstrip()}")
         return "\n\n".join(blocks) + "\n\n"
 
-    def draft_request(self, report, examples) -> PromptRequest:
-        """Few-shot draft of a whole program; also the HyDE draft."""
-        user = (
-            self._examples_block(examples)
-            + "Collision report narrative:\n"
-            + f"{report.narrative}\n\n"
-            + "Write one complete scenario program for this report. Output "
-            + "only program code."
-        )
-        return self._request(LANGUAGE_TUTORIAL, user, f"{report.id}/hyde_draft")
-
     def section_request(
         self, report, kind: str, objects, answers_block: str, examples
     ) -> PromptRequest:
@@ -236,6 +212,7 @@ class PromptFactory:
         return self._request(LANGUAGE_TUTORIAL, user, f"{report.id}/section:{kind}")
 
     def baseline_request(self, report, strategy: str, examples) -> PromptRequest:
+        """A whole program in one shot; tagged "hyde_draft", the HyDE draft."""
         user = (
             self._examples_block(examples)
             + "Collision report narrative:\n"

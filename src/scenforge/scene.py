@@ -38,9 +38,13 @@ _PLACEMENT_TOLERANCE = 1.0
 
 DEFAULT_MAX_REJECTIONS = 1_000
 
+# the longest list, tuple or string that '+' or '*' may build
+_MAX_SEQUENCE = 100_000
+_SEQUENCES = (list, tuple, str)
+
 # binary operators other than the short-circuiting 'and' and 'or'
 _BINOPS = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+    **ast.ARITHMETIC,
     "==": operator.eq, "!=": operator.ne,
     "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
 }
@@ -442,7 +446,17 @@ class _SceneEvaluator:
             return left if left else self._force(self._eval(node.right, env))
         left = self._force(self._eval(node.left, env))
         right = self._force(self._eval(node.right, env))
-        return _BINOPS[node.op](left, right)
+        if _built_length(node.op, left, right) > _MAX_SEQUENCE:
+            raise SceneEvaluationError(
+                f"line {node.line}: '{node.op}' would build a sequence of more "
+                f"than {_MAX_SEQUENCE} items"
+            )
+        result = _BINOPS[node.op](left, right)
+        if isinstance(result, float) and not math.isfinite(result):
+            raise SceneEvaluationError(
+                f"line {node.line}: '{node.op}' gave a non-finite number ({result})"
+            )
+        return result
 
     def _bind_behavior(self, handle: _BehaviorHandle, args, kwargs) -> BoundBehavior:
         supplied = len(args) + len(kwargs)
@@ -461,6 +475,12 @@ class _SceneEvaluator:
     # -- placement ---------------------------------------------------------
 
     def place(self, stmt: ast.ObjectDecl) -> _PlacedObject:
+        try:
+            return self._place(stmt)
+        except OverflowError as exc:  # an integer too large for a float
+            raise SceneEvaluationError(f"line {stmt.line}: {exc}") from exc
+
+    def _place(self, stmt: ast.ObjectDecl) -> _PlacedObject:
         position = (0.0, 0.0)
         heading = 0.0
         properties: dict = {}
@@ -578,6 +598,17 @@ class _SceneEvaluator:
             # terminate-when conditions are recorded in the program text but
             # never evaluated: there is no time to step
         return SceneInstance(dict(self.placements), dict(self.sampled_constants), 0)
+
+
+def _built_length(op: str, left, right) -> int:
+    """Length of the sequence ``left op right`` builds, 0 if none."""
+    if op == "+" and isinstance(left, _SEQUENCES) and isinstance(right, _SEQUENCES):
+        return len(left) + len(right)
+    if op == "*" and isinstance(left, _SEQUENCES) and isinstance(right, int):
+        return len(left) * right
+    if op == "*" and isinstance(right, _SEQUENCES) and isinstance(left, int):
+        return len(right) * left
+    return 0
 
 
 def _as_point(value) -> tuple:

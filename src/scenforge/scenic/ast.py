@@ -13,6 +13,7 @@ declaration context, which keeps the grouping stable under reformatting.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -20,6 +21,8 @@ from typing import Union
 DIST_FUNCTIONS = frozenset({"Normal", "TruncatedNormal", "Uniform", "Range"})
 
 SECTION_KINDS = ("constants", "behaviors", "spatial")
+
+ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 def _pos():
@@ -316,3 +319,34 @@ def is_constant_expr(expr: Expr) -> bool:
             )
         )
     return False
+
+
+def fold_number(expr: Expr, names: dict | None = None, _depth: int = 0) -> float | None:
+    """Fold constant arithmetic to a float when statically possible.
+
+    ``names`` maps already-folded constant names to their values. The
+    result is None past depth 32, for a name not in ``names``, for a
+    zero divisor, for an integer literal too large for a float, and for
+    anything that is not ``+ - * /`` arithmetic over numbers.
+    """
+    if _depth > 32:
+        return None
+    if isinstance(expr, NumberLit):
+        try:
+            return float(expr.value)
+        except OverflowError:
+            return None
+    if isinstance(expr, Name):
+        return names.get(expr.id) if names else None
+    if isinstance(expr, UnaryOp) and expr.op in ("+", "-"):
+        inner = fold_number(expr.operand, names, _depth + 1)
+        if inner is None:
+            return None
+        return inner if expr.op == "+" else -inner
+    if isinstance(expr, BinOp) and expr.op in ARITHMETIC:
+        left = fold_number(expr.left, names, _depth + 1)
+        right = fold_number(expr.right, names, _depth + 1)
+        if left is None or right is None or (expr.op == "/" and right == 0):
+            return None
+        return ARITHMETIC[expr.op](left, right)
+    return None

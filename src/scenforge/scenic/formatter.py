@@ -8,27 +8,14 @@ blank line. Formatting then reparsing yields a structurally equal AST.
 from __future__ import annotations
 
 from . import ast
+from .parser import _CMP, _INFIX, _NOT, _UNARY
 
-# precedence levels, loosest to tightest
+# precedence levels, loosest to tightest: the parser's binding powers,
+# with lambda below them all and postfix forms and atoms above
+_BINARY_BP = {text: bp for (_, text), bp in _INFIX.items()}
 _PREC_LAMBDA = 0
-_PREC_OR = 1
-_PREC_AND = 2
-_PREC_NOT = 3
-_PREC_CMP = 4
-_PREC_ADD = 5
-_PREC_MUL = 6
-_PREC_UNARY = 7
-_PREC_POSTFIX = 8
-_PREC_ATOM = 9
-
-_BINOP_PREC = {
-    "or": _PREC_OR,
-    "and": _PREC_AND,
-    "==": _PREC_CMP, "!=": _PREC_CMP,
-    "<": _PREC_CMP, "<=": _PREC_CMP, ">": _PREC_CMP, ">=": _PREC_CMP,
-    "+": _PREC_ADD, "-": _PREC_ADD,
-    "*": _PREC_MUL, "/": _PREC_MUL,
-}
+_PREC_POSTFIX = _UNARY + 1
+_PREC_ATOM = _UNARY + 2
 
 
 def _string_literal(value: str) -> str:
@@ -55,9 +42,9 @@ def _number_literal(value) -> str:
 
 def _prec(node) -> int:
     if isinstance(node, ast.BinOp):
-        return _BINOP_PREC[node.op]
+        return _BINARY_BP[node.op]
     if isinstance(node, ast.UnaryOp):
-        return _PREC_NOT if node.op == "not" else _PREC_UNARY
+        return _NOT if node.op == "not" else _UNARY
     if isinstance(node, ast.Lambda):
         return _PREC_LAMBDA
     if isinstance(node, (ast.Call, ast.Attribute, ast.Index)):
@@ -87,7 +74,7 @@ def _format_expr(node) -> str:
         return f"{format_expr(node.base, _PREC_POSTFIX)}[{format_expr(node.index)}]"
     if isinstance(node, ast.Call):
         parts = [
-            f"*{format_expr(a.value, _PREC_UNARY)}" if isinstance(a, ast.Starred)
+            f"*{format_expr(a.value, _UNARY)}" if isinstance(a, ast.Starred)
             else format_expr(a)
             for a in node.args
         ]
@@ -97,12 +84,12 @@ def _format_expr(node) -> str:
         return f"lambda {node.param}: {format_expr(node.body)}"
     if isinstance(node, ast.UnaryOp):
         if node.op == "not":
-            return f"not {format_expr(node.operand, _PREC_NOT)}"
-        return f"{node.op}{format_expr(node.operand, _PREC_UNARY)}"
+            return f"not {format_expr(node.operand, _NOT)}"
+        return f"{node.op}{format_expr(node.operand, _UNARY)}"
     if isinstance(node, ast.BinOp):
-        prec = _BINOP_PREC[node.op]
+        prec = _BINARY_BP[node.op]
         # comparisons do not chain, so both operands must bind tighter
-        left_prec = prec + 1 if prec == _PREC_CMP else prec
+        left_prec = prec + 1 if prec == _CMP else prec
         left = format_expr(node.left, left_prec)
         right = format_expr(node.right, prec + 1)
         return f"{left} {node.op} {right}"

@@ -1,48 +1,18 @@
-"""Program parts: per-section compile state and stitching.
+"""Per-section compilation and stitching.
 
 A generated program travels through the pipeline as three independently
 compiled text sections. ``stitch`` concatenates them in canonical order
-(constants, behaviors, spatial) once every part is clean.
+(constants, behaviors, spatial) once every section compiles clean.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Mapping
 
-from ..errors import StitchError
-from .diagnostics import Diagnostic, has_errors
+from .ast import SECTION_KINDS
+from .diagnostics import Diagnostic
 from .parser import parse_section
 from .validator import ModelRegistry, validate_section
-
-
-@dataclass
-class SectionPart:
-    kind: str
-    text: str = ""
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-
-    @property
-    def has_errors(self) -> bool:
-        return has_errors(self.diagnostics)
-
-
-@dataclass
-class ProgramParts:
-    constants: SectionPart
-    behaviors: SectionPart
-    spatial: SectionPart
-
-    @classmethod
-    def empty(cls) -> "ProgramParts":
-        return cls(
-            SectionPart("constants"), SectionPart("behaviors"), SectionPart("spatial")
-        )
-
-    def part(self, kind: str) -> SectionPart:
-        return getattr(self, kind)
-
-    def ordered(self) -> tuple:
-        return (self.constants, self.behaviors, self.spatial)
 
 
 def compile_section(
@@ -66,15 +36,10 @@ def compile_section(
     return result.statements, diagnostics
 
 
-def stitch(parts: ProgramParts) -> str:
-    """Join compiled parts into one program text, constants first, then
-    behaviors, then spatial statements, separated by blank lines.
+def stitch(texts: Mapping[str, str]) -> str:
+    """Join section texts, keyed by kind, into one program: constants
+    first, then behaviors, then spatial statements, separated by blank
+    lines. Missing and blank sections are skipped.
     """
-    for part in parts.ordered():
-        if part.has_errors:
-            first = next(d for d in part.diagnostics if d.severity == "error")
-            raise StitchError(
-                f"{part.kind} part has unresolved errors: {first.message}"
-            )
-    chunks = [part.text.strip("\n") for part in parts.ordered() if part.text.strip()]
+    chunks = [texts[k].strip("\n") for k in SECTION_KINDS if texts.get(k, "").strip()]
     return "\n\n".join(chunks) + "\n" if chunks else "\n"

@@ -90,6 +90,7 @@ class _Checker:
         self.scope: set[str] = set(BUILTIN_NAMES)
         self.behaviors: dict[str, tuple] = {}  # name -> params
         self.const_values: dict[str, float] = {}
+        self.ego_count = 0
 
     def error(self, message: str, node) -> None:
         self.diagnostics.append(
@@ -139,35 +140,8 @@ class _Checker:
             if value not in self.registry.vehicle_models:
                 self.error(f"unknown vehicle model '{node.value}'", node)
 
-    def _fold(self, node, _depth: int = 0) -> float | None:
-        """Fold an expression to a number when statically possible."""
-        if _depth > 32:
-            return None
-        if isinstance(node, ast.NumberLit):
-            return float(node.value)
-        if isinstance(node, ast.Name):
-            return self.const_values.get(node.id)
-        if isinstance(node, ast.UnaryOp) and node.op in ("+", "-"):
-            inner = self._fold(node.operand, _depth + 1)
-            if inner is None:
-                return None
-            return inner if node.op == "+" else -inner
-        if isinstance(node, ast.BinOp) and node.op in ("+", "-", "*", "/"):
-            left = self._fold(node.left, _depth + 1)
-            right = self._fold(node.right, _depth + 1)
-            if left is None or right is None:
-                return None
-            try:
-                if node.op == "+":
-                    return left + right
-                if node.op == "-":
-                    return left - right
-                if node.op == "*":
-                    return left * right
-                return left / right
-            except ZeroDivisionError:
-                return None
-        return None
+    def _fold(self, node) -> float | None:
+        return ast.fold_number(node, self.const_values)
 
     def _check_distribution(self, node: ast.Call) -> None:
         if not isinstance(node.func, ast.Name) or node.func.id not in ast.DIST_FUNCTIONS:
@@ -263,24 +237,40 @@ class _Checker:
                     f"behavior '{target}' has no parameter '{kw.name}'", site
                 )
 
-    def check_spatial(self, stmt) -> int:
-        """Check one spatial statement; returns 1 if it declares ego."""
+    def check_section(self, kind: str, statements) -> None:
+        """Check one section's statements in order, extending the scope."""
+        check = {
+            "constants": self.declare_constant,
+            "behaviors": self.declare_behavior,
+            "spatial": self.check_spatial,
+        }[kind]
+        for stmt in statements:
+            check(stmt)
+
+    def check_ego(self, subject: str) -> None:
+        """The single-ego rule, over every spatial statement checked so far."""
+        if self.ego_count != 1:
+            message = (
+                "multiple object declarations bind 'ego'" if self.ego_count
+                else f"{subject} does not declare an object named 'ego'"
+            )
+            self.diagnostics.append(Diagnostic(ERROR, message, 1, 1))
+
+    def check_spatial(self, stmt) -> None:
         if isinstance(stmt, ast.Assign):
             self.check_expr(stmt.value)
             self.scope.add(stmt.name)
-            return 0
-        if isinstance(stmt, ast.ObjectDecl):
+        elif isinstance(stmt, ast.ObjectDecl):
             self._check_object(stmt)
             self.scope.add(stmt.name)
-            return 1 if stmt.name == "ego" else 0
-        if isinstance(stmt, (ast.RequireStmt, ast.TerminateWhen)):
+            if stmt.name == "ego":
+                self.ego_count += 1
+        elif isinstance(stmt, (ast.RequireStmt, ast.TerminateWhen)):
             self.check_expr(stmt.condition)
-            return 0
-        if isinstance(stmt, ast.ConstantDecl):
+        elif isinstance(stmt, ast.ConstantDecl):
             self.declare_constant(stmt)
-            return 0
-        self.error(f"unexpected statement {type(stmt).__name__}", stmt)
-        return 0
+        else:
+            self.error(f"unexpected statement {type(stmt).__name__}", stmt)
 
     def _check_object(self, stmt: ast.ObjectDecl) -> None:
         new = stmt.value
@@ -320,21 +310,9 @@ def validate(program: ast.Program, registry: ModelRegistry) -> list[Diagnostic]:
     program declares exactly one ego, and behavior references check out.
     """
     checker = _Checker(registry)
-    for const in program.constants:
-        checker.declare_constant(const)
-    for behavior in program.behaviors:
-        checker.declare_behavior(behavior)
-    ego_count = 0
-    for stmt in program.spatial:
-        ego_count += checker.check_spatial(stmt)
-    if ego_count == 0:
-        checker.diagnostics.append(
-            Diagnostic(ERROR, "program does not declare an object named 'ego'", 1, 1)
-        )
-    elif ego_count > 1:
-        checker.diagnostics.append(
-            Diagnostic(ERROR, "multiple object declarations bind 'ego'", 1, 1)
-        )
+    for kind in ast.SECTION_KINDS:
+        checker.check_section(kind, getattr(program, kind))
+    checker.check_ego("program")
     return checker.diagnostics
 
 
@@ -358,24 +336,9 @@ def validate_section(
     if known_behaviors:
         checker.behaviors.update(known_behaviors)
         checker.scope.update(known_behaviors)
-    if kind == "constants":
-        for stmt in statements:
-            checker.declare_constant(stmt)
-    elif kind == "behaviors":
-        for stmt in statements:
-            checker.declare_behavior(stmt)
-    else:
-        ego_count = 0
-        for stmt in statements:
-            ego_count += checker.check_spatial(stmt)
-        if ego_count == 0:
-            checker.diagnostics.append(
-                Diagnostic(ERROR, "spatial section does not declare an object named 'ego'", 1, 1)
-            )
-        elif ego_count > 1:
-            checker.diagnostics.append(
-                Diagnostic(ERROR, "multiple object declarations bind 'ego'", 1, 1)
-            )
+    checker.check_section(kind, statements)
+    if kind == "spatial":
+        checker.check_ego("spatial section")
     return checker.diagnostics
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenforge.bundled import example_program_paths
-from scenforge.scenic import ast, format_program, parse_program
+from scenforge.scenic import ast, format_expr, format_program, parse_expression, parse_program
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -138,3 +138,28 @@ def _normalized(statements):
         else:
             spatial.append(stmt)
     return tuple(constants) + tuple(spatial)
+
+
+_LAMBDA = ast.Lambda("v", ast.Name("v"))
+
+
+@pytest.mark.parametrize(
+    "node, text",
+    [
+        (ast.BinOp("or", _LAMBDA, ast.Name("y")), "(lambda v: v) or y"),
+        (ast.BinOp("or", ast.Name("y"), _LAMBDA), "y or (lambda v: v)"),
+        (ast.Lambda("v", ast.BinOp("or", ast.Name("v"), ast.Name("y"))), "lambda v: v or y"),
+        (ast.UnaryOp("not", _LAMBDA), "not (lambda v: v)"),
+        (ast.Call(ast.Name("f"), (_LAMBDA,)), "f(lambda v: v)"),
+        (ast.BinOp("<", ast.BinOp("<", ast.Name("a"), ast.Name("b")), ast.Name("c")),
+         "(a < b) < c"),
+        (ast.BinOp("-", ast.Name("a"), ast.BinOp("-", ast.Name("b"), ast.Name("c"))),
+         "a - (b - c)"),
+        (ast.UnaryOp("-", ast.BinOp("*", ast.Name("a"), ast.Name("b"))), "-(a * b)"),
+    ],
+    ids=["lambda-or", "or-lambda", "lambda-body", "not-lambda", "call-arg",
+         "comparison", "right-nested", "negated-product"],
+)
+def test_parenthesization_round_trips(node, text):
+    assert format_expr(node) == text
+    assert parse_expression(text) == node

@@ -25,9 +25,10 @@ from scenforge.distributions import DistributionSpec
 from scenforge.reports import load_report
 from scenforge.retrieval import LocalHashEmbedder, VectorStore
 from scenforge.scene import check_validity
-from scenforge.scenic import compile_section
+from scenforge.scenic import compile_section, parse_expression
 from support import (
     ANSWERS_REPLY,
+    CONSTANTS_SECTION,
     CONSTANTS_SECTION_UNQUOTED_TRUCK,
     OBJECTS_REPLY,
     SPATIAL_SECTION,
@@ -598,3 +599,71 @@ def test_run_report_survives_deeply_nested_replies(report, config, deep):
     result = run_report(report, config, gateway_for(transcript))
     assert not result.success
     assert result.failure.startswith("section:constants")
+
+
+# --- integer literals too large for a float ------------------------------------
+
+HUGE = "1" + "0" * 400  # 401 digits
+HUGE_NORMAL = f"Normal(10, {HUGE})"
+
+
+def test_huge_integer_sigma_compiles_without_a_verdict(registry):
+    statements, diagnostics = compile_section(f"N = {HUGE_NORMAL}", "constants", registry)
+    assert statements is not None
+    assert diagnostics == []
+
+
+def test_huge_integer_arithmetic_is_an_execution_diagnostic(registry, cross4):
+    validity = check_validity(
+        f"X = {HUGE} * 1.0\nego = new Car at (0, 0)\n", registry, cross4, seed=1
+    )
+    assert (validity.syntactic, validity.semantic, validity.executable) == (True, True, False)
+    assert [d.message for d in validity.diagnostics] == [
+        "execution failed: line 1: cannot evaluate BinOp: int too large to convert to float"
+    ]
+
+
+@pytest.mark.parametrize(
+    "spatial",
+    [
+        f"X = {HUGE}\nego = new Car at (0, X)\n",
+        f"ego = new Car following roadDirection from (0, 0) for {HUGE}\n",
+        f"ego = new Car at (0, 0), with heading {HUGE}\n",
+    ],
+    ids=["position", "following", "heading"],
+)
+def test_huge_integer_placement_is_an_execution_diagnostic(spatial, registry, cross4):
+    validity = check_validity(spatial, registry, cross4, seed=1)
+    assert not validity.executable
+    (diagnostic,) = validity.diagnostics
+    assert diagnostic.message.endswith(": int too large to convert to float")
+
+
+def test_huge_integer_answer_is_not_a_distribution():
+    assert _parse_assignment_value("BIKE_SPEED", HUGE_NORMAL) is None
+    assert distribution_from_expr(parse_expression(HUGE_NORMAL)) is None
+
+
+def test_run_report_reprompts_a_huge_integer_answer(report, config):
+    transcript = happy_transcript()
+    transcript["r1/answers"] = [
+        ANSWERS_REPLY.replace("Normal(10, 1)", HUGE_NORMAL),
+        "BIKE_SPEED = Normal(10, 1)\n",
+    ]
+    result = run_report(report, config, gateway_for(transcript))
+    assert result.success
+    assert len(next(t for t in result.traces if t.stage == "answers").interactions) == 2
+
+
+def test_run_report_repairs_a_huge_integer_constant(report, config):
+    transcript = happy_transcript(
+        constants=CONSTANTS_SECTION.replace("Normal(10, 1)", HUGE_NORMAL)
+    )
+    transcript["r1/repair:program"] = [
+        "SPEED = 5\n\nego = new Car at (0, 0), with speed SPEED\n"
+    ]
+    result = run_report(report, config, gateway_for(transcript))
+    assert result.success
+    assert result.repairs == {
+        "constants": 0, "behaviors": 0, "spatial": 0, "program": 1,
+    }

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 
 import pytest
 
@@ -240,3 +241,68 @@ def test_unsatisfiable_program_is_execution_failure(cross4, registry):
     assert report.syntactic and report.semantic
     assert not report.executable
     assert any("execution failed" in d.message for d in report.diagnostics)
+
+
+# --- evaluator bounds -----------------------------------------------------------
+
+
+def execution_messages(source, registry, cross4):
+    report = check_validity(source, registry, cross4, seed=1)
+    assert report.syntactic and report.semantic
+    return [d.message for d in report.diagnostics]
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("X = 1e308 * 10\nego = new Car at (0, X - X)\n",
+         "execution failed: line 1: '*' gave a non-finite number (inf)"),
+        ("X = 1e308\nego = new Car at (0, X + X)\n",
+         "execution failed: line 2: '+' gave a non-finite number (inf)"),
+        ("X = 1e308\nY = 1e-10\nego = new Car at (0, -X / Y)\n",
+         "execution failed: line 3: '/' gave a non-finite number (-inf)"),
+    ],
+    ids=["product", "sum", "quotient"],
+)
+def test_non_finite_arithmetic_is_an_execution_diagnostic(source, message, registry, cross4):
+    assert execution_messages(source, registry, cross4) == [message]
+
+
+def test_finite_arithmetic_near_the_limit_is_valid(registry, cross4):
+    report = check_validity(
+        "X = 1e308 * 1.5 - 1e308\nego = new Car at (0, X / 1e308)\n", registry, cross4, seed=1
+    )
+    assert report.valid
+    assert report.scene.placements["ego"].position == (0.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["[0] * 10000000", "10000000 * (0, 1)", "'ab' * 50001", "[0] * 60000 + [1] * 40001"],
+    ids=["list-times", "times-tuple", "string", "list-plus"],
+)
+def test_oversized_sequence_is_rejected_before_it_is_built(value, registry, cross4):
+    start = time.perf_counter()
+    messages = execution_messages(
+        f"X = {value}\nego = new Car at (0, 0)\n", registry, cross4
+    )
+    assert time.perf_counter() - start < 1.0
+    op = "+" if "+" in value else "*"
+    assert messages == [
+        f"execution failed: line 1: '{op}' would build a sequence of more than 100000 items"
+    ]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        "[0] * 100000",
+        "'ab' * 50000",
+        "[0] * 60000 + [1] * 40000",
+        "[" + ", ".join(str(i) for i in range(5000)) + "]",
+    ],
+    ids=["list-at-limit", "string-at-limit", "sum-at-limit", "5000-element-list"],
+)
+def test_sequences_within_the_bound_are_valid(value, registry, cross4):
+    report = check_validity(f"X = {value}\nego = new Car at (0, 0)\n", registry, cross4, seed=1)
+    assert report.valid, report.diagnostics

@@ -1,18 +1,10 @@
 from __future__ import annotations
 
-import pytest
-
-from scenforge.errors import StitchError
-from scenforge.scenic import ProgramParts, parse_program, stitch
-from scenforge.scenic.diagnostics import ERROR, Diagnostic
+from scenforge.scenic import parse_program, stitch
 
 
 def parts_with(constants="", behaviors="", spatial=""):
-    parts = ProgramParts.empty()
-    parts.constants.text = constants
-    parts.behaviors.text = behaviors
-    parts.spatial.text = spatial
-    return parts
+    return {"constants": constants, "behaviors": behaviors, "spatial": spatial}
 
 
 def test_minimal_composition_parses():
@@ -26,19 +18,12 @@ def test_minimal_composition_parses():
 
 
 def test_output_order_is_fixed_regardless_of_fill_order():
-    parts = ProgramParts.empty()
-    parts.spatial.text = "ego = new Car at (0, 0)\n"
-    parts.behaviors.text = "behavior B():\n    wait\n"
-    parts.constants.text = "SPEED = 5\n"
+    parts = {}
+    parts["spatial"] = "ego = new Car at (0, 0)\n"
+    parts["behaviors"] = "behavior B():\n    wait\n"
+    parts["constants"] = "SPEED = 5\n"
     program = stitch(parts)
     assert program.index("SPEED") < program.index("behavior") < program.index("ego")
-
-
-def test_part_with_error_diagnostics_refuses_to_stitch():
-    parts = parts_with(constants="X = ", spatial="ego = new Car at (0, 0)\n")
-    parts.constants.diagnostics = [Diagnostic(ERROR, "expected an expression", 1, 5)]
-    with pytest.raises(StitchError):
-        stitch(parts)
 
 
 def test_blank_line_separates_sections():
@@ -54,3 +39,15 @@ def test_blank_line_separates_sections():
 def test_empty_parts_are_skipped():
     parts = parts_with(spatial="ego = new Car at (0, 0)\n")
     assert stitch(parts) == "ego = new Car at (0, 0)\n"
+
+
+def test_missing_kinds_are_skipped():
+    assert stitch({"spatial": "ego = new Car at (0, 0)\n"}) == "ego = new Car at (0, 0)\n"
+    assert stitch({}) == "\n"
+
+
+def test_stitch_strips_outer_newlines_only():
+    parts = parts_with(constants="\n\nA = 1\n\n\n", spatial="  \n", behaviors="")
+    assert stitch(parts) == "A = 1\n"
+    parts = parts_with(constants="  A = 1  ", spatial="ego = new Car at (0, 0)")
+    assert stitch(parts) == "  A = 1  \n\nego = new Car at (0, 0)\n"

@@ -4,8 +4,10 @@ import pytest
 
 from scenforge.scenic import (
     ModelRegistry,
+    ast,
     compile_section,
     default_registry,
+    parse_expression,
     parse_program,
     validate,
 )
@@ -167,3 +169,92 @@ def test_validation_is_deterministic(registry):
     first = validate(program, registry)
     second = validate(program, registry)
     assert first == second
+
+
+# --- exact texts of the single-ego rule and of folded parameters -----------------
+
+
+def triples(diagnostics):
+    return [(d.message, d.line, d.col) for d in diagnostics]
+
+
+NO_EGO = "x = new Car at (0, 0)\nrequire missing > 1\n"
+TWO_EGOS = "ego = new Car at (0, 0)\nego = new Truck at (1, 1)\nrequire missing > 1\n"
+ONE_EGO = "ego = new Car at (0, 0)\nrequire missing > 1\n"
+UNDEFINED = ("name 'missing' is not defined", 2, 9)
+UNDEFINED_AFTER_TWO = ("name 'missing' is not defined", 3, 9)
+MULTIPLE = ("multiple object declarations bind 'ego'", 1, 1)
+
+
+def test_ego_rule_exact_texts_for_whole_programs(registry):
+    def check(source):
+        return triples(validate(parse_program(source).program, registry))
+
+    assert check(NO_EGO) == [UNDEFINED, ("program does not declare an object named 'ego'", 1, 1)]
+    assert check(TWO_EGOS) == [UNDEFINED_AFTER_TWO, MULTIPLE]
+    assert check(ONE_EGO) == [UNDEFINED]
+
+
+def test_ego_rule_exact_texts_for_spatial_sections(registry):
+    def check(source):
+        return triples(compile_section(source, "spatial", registry)[1])
+
+    assert check(NO_EGO) == [
+        UNDEFINED, ("spatial section does not declare an object named 'ego'", 1, 1)
+    ]
+    assert check(TWO_EGOS) == [UNDEFINED_AFTER_TWO, MULTIPLE]
+    assert check(ONE_EGO) == [UNDEFINED]
+
+
+def test_ego_rule_is_not_applied_to_other_sections(registry):
+    assert compile_section("X = 1", "constants", registry)[1] == []
+    assert compile_section("behavior B():\n    wait\n", "behaviors", registry)[1] == []
+
+
+SIGMA = ("standard deviation must be positive", 2, 11)
+
+
+def test_names_fold_from_earlier_constants(registry):
+    source = "S = 2 - 2\nN = Normal(1, S)\n"
+    assert triples(compile_section(source, "constants", registry)[1]) == [SIGMA]
+    program = parse_program(source + "\nego = new Car at (0, 0)\n").program
+    assert triples(validate(program, registry)) == [SIGMA]
+    # a constants section folds into a later section's distribution checks
+    spatial = "ego = new Car at (0, 0), with speed Range(S, 0 - 1)\n"
+    program = parse_program("S = 1\n\n" + spatial).program
+    assert triples(validate(program, registry)) == [
+        ("range bounds inverted (low must not exceed high)", 3, 42)
+    ]
+
+
+def test_zero_divisor_does_not_fold(registry):
+    assert compile_section("N = Normal(1, 0 / 0)", "constants", registry)[1] == []
+    assert compile_section("R = Range(1 / 0, 0)", "constants", registry)[1] == []
+    _, diagnostics = compile_section("S = 1 / 0\nN = Normal(1, S)", "constants", registry)
+    assert diagnostics == []
+
+
+def test_fold_gives_up_past_depth_32(registry):
+    at_limit = "N = Normal(1, " + "+ " * 32 + "0)"
+    past_limit = "N = Normal(1, " + "+ " * 33 + "0)"
+    assert triples(compile_section(at_limit, "constants", registry)[1]) == [
+        ("standard deviation must be positive", 1, 11)
+    ]
+    assert compile_section(past_limit, "constants", registry)[1] == []
+
+
+def test_fold_number_rules():
+    def fold(source, names=None):
+        return ast.fold_number(parse_expression(source), names)
+
+    assert fold("-(2 + 3) * 4 / 8") == -2.5
+    assert fold("S * 2", {"S": 1.5}) == 3.0
+    assert fold("S * 2") is None
+    assert fold("S * 2", {"T": 1.0}) is None
+    assert fold("1 / (2 - 2)") is None
+    assert fold("1" + "0" * 400) is None
+    assert fold("1" + "0" * 300) == 1e300
+    assert fold("+ " * 32 + "7") == 7.0
+    assert fold("+ " * 33 + "7") is None
+    assert fold("Normal(1, 2)") is None
+    assert fold("'text'") is None
