@@ -45,6 +45,7 @@ DEFAULT_REGENERATION_BUDGET = 3
 # two concurrent compositional runs each put three section generations
 # in flight at once; a lower cap queues some of them behind the others
 DEFAULT_MAX_CONCURRENT = 8
+MAX_RETRY_AFTER_SECONDS = 30.0  # the longest wait a Retry-After header gets
 CACHE_DIR_ENV = "SCENFORGE_CACHE_DIR"
 API_KEY_ENV = "SCENFORGE_API_KEY"
 
@@ -254,6 +255,13 @@ class FileCache:
 # --- backends ----------------------------------------------------------------
 
 
+def _retry_after(value: str | None, default: float) -> float:
+    """Retry-After delay-seconds, capped; ``default`` when absent or invalid."""
+    if not re.fullmatch(r"\s*\d+\s*", value or ""):
+        return default
+    return min(float(value), MAX_RETRY_AFTER_SECONDS)
+
+
 class RemoteBackend:
     """HTTP chat-completions client with retry and exponential backoff."""
 
@@ -296,7 +304,8 @@ class RemoteBackend:
         last_error: Exception | None = None
         for attempt in range(self.retries):
             if attempt:
-                time.sleep(self.backoff_seconds * (2 ** (attempt - 1)))
+                time.sleep(delay)
+            delay = self.backoff_seconds * (2 ** attempt)
             try:
                 response = self.session.post(
                     self.endpoint, json=payload, headers=headers, timeout=self.timeout
@@ -309,6 +318,7 @@ class RemoteBackend:
                 last_error = BackendUnavailable(
                     f"status {response.status_code} from {self.endpoint}"
                 )
+                delay = _retry_after(response.headers.get("Retry-After"), delay)
                 continue
             if response.status_code >= 400:
                 raise BackendUnavailable(

@@ -9,7 +9,10 @@ line constraints, with retrieved examples in the prompt. Each part is
 compiled; compiler diagnostics drive a bounded zero-shot repair loop.
 The clean section texts, keyed by kind, are stitched in canonical order,
 and the whole program must instantiate a scene, with a second bounded
-repair loop on failure.
+repair loop on failure. A clean program is parsed once, by sections: the
+first check runs on `ast.program_of` of the compiled statements, the one
+rule that groups assignments by value, as parsing text does. Program text
+is parsed only after that check fails (for program lines) or a repair.
 
 Model calls run in four layers, each joined before the next starts:
 
@@ -192,8 +195,13 @@ class _StageFailed(Exception):
     ``skipped`` lists (stage, _StageRun) siblings whose calls were made
     but whose results go unused."""
 
-    def __init__(self, stage: str, events: list, message: str, diagnostics=(),
+    def __init__(self, stage: str, events: list, error: Exception, diagnostics=(),
                  skipped=()):
+        if isinstance(error, ScenForgeError):
+            message = str(error)
+        else:  # a fault in the program: name its type, log its traceback
+            message = f"{type(error).__name__}: {error}"
+            log.error("stage %s failed", stage, exc_info=error)
         super().__init__(message)
         self.stage = stage
         self.events = events
@@ -218,13 +226,10 @@ class _StageRun:
             except Exception as exc:  # handled by the caller, in stage order
                 self.error = exc
 
-    def take(self, stage: str, expected, skipped=()):
-        """The stage's value. An expected error fails the run at
-        ``stage``; any other error is re-raised as it was."""
-        if isinstance(self.error, expected):
-            raise _StageFailed(stage, self.events, str(self.error), skipped=skipped)
+    def take(self, stage: str, skipped=()):
+        """The stage's value; any error fails the run at ``stage``."""
         if self.error is not None:
-            raise self.error
+            raise _StageFailed(stage, self.events, self.error, skipped=skipped)
         return self.value
 
 
@@ -403,13 +408,17 @@ def repair_section(
     )
 
 
-def finalize(texts: dict, config: PipelineConfig, gateway: Gateway,
-             factory: PromptFactory, report_id: str):
+def finalize(texts: dict, statements: list, config: PipelineConfig,
+             gateway: Gateway, factory: PromptFactory, report_id: str):
     """Stitch the section texts (keyed by kind), check validity (including
     scene instantiation), and run the whole-program repair loop when the
-    execution check fails."""
+    execution check fails. The first check runs on the compiled
+    ``statements``; a failing one is redone on the text, for its lines."""
     program = stitch(texts)
-    validity = check_validity(program, config.registry, config.network, config.seed)
+    setting = (config.registry, config.network, config.seed)
+    validity = check_validity(ast.program_of(statements), *setting)
+    if not validity.valid:
+        validity = check_validity(program, *setting)
     attempts = 0
     while not validity.valid and attempts < config.program_retry_budget:
         attempts += 1
@@ -418,7 +427,7 @@ def finalize(texts: dict, config: PipelineConfig, gateway: Gateway,
         )
         completion = gateway.complete(request)
         program = extract_code(completion.text)
-        validity = check_validity(program, config.registry, config.network, config.seed)
+        validity = check_validity(program, *setting)
     return program, validity, attempts
 
 
@@ -451,8 +460,7 @@ def _fixed_examples() -> tuple[str, ...]:
     return tuple(text for _, text in example_programs()[:_FIXED_EXAMPLE_COUNT])
 
 
-def _empty_section_diagnostic() -> Diagnostic:
-    return Diagnostic(ERROR, "empty section (no conforming code lines)", 1, 1, "")
+_EMPTY_SECTION = Diagnostic(ERROR, "empty section (no conforming code lines)", 1, 1, "")
 
 
 def _failure_validity(diagnostics) -> ValidityReport:
@@ -467,9 +475,9 @@ def run_pipeline(
 ) -> RunResult:
     """Run the compositional strategy end to end for one report.
 
-    Deterministic under a playback backend and fixed seed. Stage
-    failures produce a failed RunResult naming the stage; nothing
-    escapes as an exception.
+    Deterministic under a playback backend and fixed seed. Any exception
+    in a stage, section compile or repair, or finalize produces a failed
+    RunResult naming the stage; nothing escapes.
     """
     recorder = _TraceRecorder()
     repairs = {kind: 0 for kind in SECTION_KINDS}
@@ -524,19 +532,19 @@ def _compose(report, config, gateway, retrieval, recorder, repairs):
         )
     drafts = [("retrieve", draft_run)] if draft_run else []
     _run_layer(gateway, [objects_run] + [run for _, run in drafts])
-    objects = objects_run.take("objects", (MarkerMissing, GatewayError), drafts)
+    objects = objects_run.take("objects", drafts)
     recorder.close("objects", objects_run.events)
-    examples = draft_run.take("retrieve", ScenForgeError) if draft_run else []
+    examples = draft_run.take("retrieve") if draft_run else []
 
     # layers 2 and 3: questions, then answers
     run = _StageRun(stage_questions, report, objects, gateway, factory)
     _run_layer(gateway, [run])
-    questions = run.take("questions", GatewayError, drafts)
+    questions = run.take("questions", drafts)
     recorder.close("questions", run.events)
 
     run = _StageRun(stage_answers, report, questions, gateway, factory)
     _run_layer(gateway, [run])
-    answers = run.take("answers", GatewayError, drafts)
+    answers = run.take("answers", drafts)
     recorder.close("answers", run.events)
     if draft_run:
         recorder.close("retrieve", draft_run.events)
@@ -555,33 +563,32 @@ def _compose(report, config, gateway, retrieval, recorder, repairs):
     # compile and repair in canonical order: a section sees the names and
     # behaviors of the sections before it
     texts: dict[str, str] = {}
+    program_statements: list = []
     env: set[str] = set()
     behaviors_map: dict = {}
     for index, (kind, (stage, run)) in enumerate(zip(SECTION_KINDS, sections)):
         later = sections[index + 1:]
-        text = run.take(stage, GatewayError, later)
-        if text.strip():
-            statements, diags = compile_section(
-                text, kind, config.registry, env, behaviors_map
-            )
-        else:
-            statements, diags = None, [_empty_section_diagnostic()]
-        count = 0
-        if statements is None or has_errors(diags):
-            with recording(run.events):
-                try:
+        text = run.take(stage, later)
+        statements, diags, count = None, [_EMPTY_SECTION], 0
+        try:
+            if text.strip():
+                statements, diags = compile_section(
+                    text, kind, config.registry, env, behaviors_map
+                )
+            if statements is None or has_errors(diags):
+                with recording(run.events):
                     text, statements, count = repair_section(
                         kind, text, diags, gateway, factory,
                         config.section_retry_budget, config.registry, env,
                         behaviors_map, report.id,
                     )
-                except (RepairExhausted, GatewayError) as exc:
-                    repairs[kind] = config.section_retry_budget
-                    raise _StageFailed(
-                        stage, run.events, str(exc),
-                        getattr(exc, "diagnostics", diags), later,
-                    ) from exc
+        except (RepairExhausted, GatewayError) as exc:
+            repairs[kind] = config.section_retry_budget
+            raise _StageFailed(stage, run.events, exc, getattr(exc, "diagnostics", diags), later)
+        except Exception as exc:
+            raise _StageFailed(stage, run.events, exc, (), later)
         texts[kind] = text
+        program_statements.extend(statements)
         repairs[kind] = count
         env |= section_names(statements)
         if kind == "behaviors":
@@ -595,10 +602,10 @@ def _compose(report, config, gateway, retrieval, recorder, repairs):
     with recording(events):
         try:
             program, validity, program_repairs = finalize(
-                texts, config, gateway, factory, report.id
+                texts, program_statements, config, gateway, factory, report.id
             )
-        except (GatewayError, ScenForgeError) as exc:
-            raise _StageFailed("finalize", events, str(exc)) from exc
+        except Exception as exc:
+            raise _StageFailed("finalize", events, exc) from exc
     repairs["program"] = program_repairs
     if not validity.valid:
         finalize_outcome = OUTCOME_FAILED

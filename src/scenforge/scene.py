@@ -681,21 +681,25 @@ class ValidityReport:
 
 
 def check_validity(
-    program_text: str,
+    program: ast.Program | str,
     registry: ModelRegistry,
     network: RoadNetwork,
     seed: int,
     max_rejections: int = DEFAULT_MAX_REJECTIONS,
 ) -> ValidityReport:
-    """The three-stage validity check: parse, validate, instantiate."""
-    parsed = parse_program(program_text)
-    if not parsed.ok:
-        return ValidityReport(False, False, False, parsed.diagnostics)
-    diagnostics = validate(parsed.program, registry)
+    """The three-stage validity check: parse, validate, instantiate. Text
+    is parsed first; an ``ast.Program`` (say, ``ast.program_of`` compiled
+    sections) is validated as it is, with its own source's line numbers."""
+    if isinstance(program, str):
+        parsed = parse_program(program)
+        if not parsed.ok:
+            return ValidityReport(False, False, False, parsed.diagnostics)
+        program = parsed.program
+    diagnostics = validate(program, registry)
     if diagnostics:
         return ValidityReport(True, False, False, diagnostics)
     try:
-        scene = instantiate_scene(parsed.program, network, seed, max_rejections)
+        scene = instantiate_scene(program, network, seed, max_rejections)
     except (RejectionBudgetExhausted, UnplaceableObject, SceneEvaluationError) as exc:
         return ValidityReport(
             True, True, False,

@@ -7,12 +7,13 @@ trip compares structurally equal.
 A program groups statements into the three canonical sections: constant
 declarations, behavior definitions, and spatial (scene) statements.
 Whether a top-level assignment is a constant is decided purely from the
-shape of its right-hand side (see is_constant_expr), never from
+shape of its right-hand side (program_of, is_constant_expr), never from
 declaration context, which keeps the grouping stable under reformatting.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Union
@@ -293,6 +294,20 @@ class Program:
         return self.constants + self.behaviors + self.spatial
 
 
+def program_of(statements) -> Program:
+    """Group top-level statements into a Program by the one rule, for text
+    and compiled sections alike: an assignment is a ConstantDecl when its
+    value is constant-grade, else an Assign, whatever its section."""
+    constants, behaviors, spatial = [], [], []
+    for stmt in statements:
+        if isinstance(stmt, (ConstantDecl, Assign)):
+            kind = ConstantDecl if is_constant_expr(stmt.value) else Assign
+            if type(stmt) is not kind:
+                stmt = kind(stmt.name, stmt.value, line=stmt.line, col=stmt.col)
+        {ConstantDecl: constants, BehaviorDef: behaviors}.get(type(stmt), spatial).append(stmt)
+    return Program(tuple(constants), tuple(behaviors), tuple(spatial))
+
+
 def is_constant_expr(expr: Expr) -> bool:
     """True when an expression is constant-grade: literals, arithmetic
     over constants, and distribution calls with constant arguments.
@@ -326,8 +341,9 @@ def fold_number(expr: Expr, names: dict | None = None, _depth: int = 0) -> float
 
     ``names`` maps already-folded constant names to their values. The
     result is None past depth 32, for a name not in ``names``, for a
-    zero divisor, for an integer literal too large for a float, and for
-    anything that is not ``+ - * /`` arithmetic over numbers.
+    zero divisor, for an integer literal too large for a float, for a
+    result that is not finite (``1e308 * 10``), and for anything that is
+    not ``+ - * /`` arithmetic over numbers.
     """
     if _depth > 32:
         return None
@@ -348,5 +364,6 @@ def fold_number(expr: Expr, names: dict | None = None, _depth: int = 0) -> float
         right = fold_number(expr.right, names, _depth + 1)
         if left is None or right is None or (expr.op == "/" and right == 0):
             return None
-        return ARITHMETIC[expr.op](left, right)
+        value = ARITHMETIC[expr.op](left, right)
+        return value if math.isfinite(value) else None
     return None

@@ -1,9 +1,12 @@
 """Shared test helpers: canned reports, playback transcripts for whole
-pipeline runs, and tiny scripted backends."""
+pipeline runs, tiny scripted backends, and the benchmark's own case
+generator and scripted backend."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import sys
 import threading
 import time
 from pathlib import Path
@@ -255,6 +258,17 @@ def round_trips(calls) -> int:
             count += 1
         reach = max(reach, end)
     return count
+
+
+def bench_module(name: str):
+    """A module of `bench/` (which is no package), such as `cases` or
+    `backends`, imported as `bench_<name>`."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    if spec.name not in sys.modules:
+        sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[spec.name])
+    return sys.modules[spec.name]
 
 
 # --- parser inputs ----------------------------------------------------------------

@@ -10,6 +10,7 @@ from scenforge.errors import (
     PlaybackMiss,
 )
 from scenforge.gateway import (
+    MAX_RETRY_AFTER_SECONDS,
     ConstraintSpec,
     FileCache,
     Gateway,
@@ -271,10 +272,11 @@ def test_constraint_postcondition_reassertable():
 
 
 class _StubResponse:
-    def __init__(self, status_code=200, payload=None, text=""):
+    def __init__(self, status_code=200, payload=None, text="", headers=None):
         self.status_code = status_code
         self._payload = payload or {}
         self.text = text
+        self.headers = headers or {}
 
     def json(self):
         if isinstance(self._payload, Exception):
@@ -366,6 +368,55 @@ def test_remote_backend_retries_a_rate_limit():
     text, _ = backend.invoke(request())
     assert text == "ok"
     assert len(session.requests) == 2
+
+
+@pytest.mark.parametrize(
+    "header, expected",
+    [
+        (None, [0.5, 1.0]),            # missing: exponential backoff
+        ("soon", [0.5, 1.0]),          # garbage
+        ("Wed, 21 Oct 2026 07:28:00 GMT", [0.5, 1.0]),  # a date is not seconds
+        ("-3", [0.5, 1.0]),            # negative
+        ("nan", [0.5, 1.0]),
+        ("2", [2.0, 2.0]),
+        ("0", [0.0, 0.0]),
+        ("7200", [MAX_RETRY_AFTER_SECONDS] * 2),  # above the cap
+        ("inf", [0.5, 1.0]),
+        ("1.5", [0.5, 1.0]),           # delay-seconds are whole numbers
+        (" 3 ", [3.0, 3.0]),
+    ],
+)
+@pytest.mark.parametrize("status", [429, 503])
+def test_remote_backend_honours_retry_after(monkeypatch, status, header, expected):
+    import scenforge.gateway as gateway_module
+
+    sleeps = []
+    monkeypatch.setattr(gateway_module.time, "sleep", sleeps.append)
+    headers = {} if header is None else {"Retry-After": header}
+    session = _StubSession(
+        [_StubResponse(status, headers=headers), _StubResponse(status, headers=headers),
+         _StubResponse(200, _chat_payload("ok"))]
+    )
+    backend = RemoteBackend("https://api.example/v1/chat", session=session, retries=3)
+    text, _ = backend.invoke(request())
+    assert text == "ok"
+    assert sleeps == expected
+
+
+def test_retry_after_applies_only_to_the_next_attempt(monkeypatch):
+    import requests as requests_lib
+
+    import scenforge.gateway as gateway_module
+
+    sleeps = []
+    monkeypatch.setattr(gateway_module.time, "sleep", sleeps.append)
+    session = _StubSession(
+        [_StubResponse(429, headers={"Retry-After": "4"}),
+         requests_lib.ConnectionError("blip"), _StubResponse(200, _chat_payload("ok"))]
+    )
+    backend = RemoteBackend("https://api.example/v1/chat", session=session, retries=3)
+    backend.invoke(request())
+    assert sleeps == [4.0, 1.0]
 
 
 def _malformed_replies():

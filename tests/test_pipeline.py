@@ -33,6 +33,7 @@ from support import (
     OBJECTS_REPLY,
     SPATIAL_SECTION,
     CallableBackend,
+    bench_module,
     happy_transcript,
     has_non_finite_literal,
     playback,
@@ -270,6 +271,10 @@ def test_run_pipeline_unfixable_fails_at_constants(report, config):
     result = run_pipeline(report, config, gateway)
     assert not result.success
     assert result.failure.startswith("section:constants")
+    # a package error's own text, without its type
+    assert result.failure == (
+        "section:constants: constants section still broken after 5 repair attempt(s)"
+    )
     assert result.final_program is None
     assert result.repairs["constants"] == config.section_retry_budget
 
@@ -667,3 +672,98 @@ def test_run_report_repairs_a_huge_integer_constant(report, config):
     assert result.repairs == {
         "constants": 0, "behaviors": 0, "spatial": 0, "program": 1,
     }
+
+
+# --- non-finite answers ------------------------------------------------------------
+
+NON_FINITE_NORMAL = "Normal(1e308 * 10, 1)"
+
+
+def test_non_finite_answer_is_not_a_distribution():
+    # it folded to Normal(inf, 1), which render_answers wrote into every
+    # section prompt as `Normal(inf, 1)`
+    assert _parse_assignment_value("BIKE_SPEED", NON_FINITE_NORMAL) is None
+    assert distribution_from_expr(parse_expression(NON_FINITE_NORMAL)) is None
+
+
+def test_run_report_reprompts_a_non_finite_answer(report, config):
+    transcript = happy_transcript()
+    transcript["r1/answers"] = [
+        ANSWERS_REPLY.replace("Normal(10, 1)", NON_FINITE_NORMAL),
+        "BIKE_SPEED = Normal(10, 1)\n",
+    ]
+    result = run_report(report, config, gateway_for(transcript))
+    assert result.success
+    answers = next(t for t in result.traces if t.stage == "answers")
+    assert len(answers.interactions) == 2
+    assert "inf" not in json.dumps(result.final_program)
+
+
+# --- run_report never raises ---------------------------------------------------------
+
+bench_cases = bench_module("cases")
+
+# stage tag -> the stage the failed run names
+FAULT_STAGES = {
+    "objects": "objects",
+    "hyde_draft": "retrieve",
+    "questions": "questions",
+    "answers": "answers",
+    "section:constants": "section:constants",
+    "section:behaviors": "section:behaviors",
+    "section:spatial": "section:spatial",
+    "repair:constants": "section:constants",
+    "repair:program": "finalize",
+}
+
+
+def _faulty_backend(case, fault_tag: str) -> CallableBackend:
+    def respond(request):
+        tag = request.stage_tag.rpartition("/")[2]
+        if tag == fault_tag:
+            raise RuntimeError(f"fault at {tag}")
+        return case.replies[tag]
+
+    return CallableBackend(respond)
+
+
+def _store() -> RetrievalSetup:
+    embedder = LocalHashEmbedder()
+    store = VectorStore()
+    store.upsert("ex1", "SPEED = 5\nego = new Car at (0, 0)", embedder)
+    return RetrievalSetup(store=store, embedder=embedder)
+
+
+@pytest.mark.parametrize("tag", list(FAULT_STAGES))
+def test_a_backend_fault_at_any_stage_fails_the_run_at_that_stage(tag, config):
+    case = bench_cases.make_case(1, 0, shape=(1, 1))  # a section and a program repair
+    gateway = gateway_for(_faulty_backend(case, tag))
+    try:
+        result = run_report(case.report, config, gateway, _store())
+    finally:
+        gateway.close()
+    assert not result.success
+    assert result.final_program is None
+    assert result.failure == f"{FAULT_STAGES[tag]}: RuntimeError: fault at {tag}"
+    assert [t.outcome for t in result.traces if t.stage == FAULT_STAGES[tag]] == ["failed"]
+
+
+@pytest.mark.parametrize(
+    "name, stage",
+    [("check_validity", "finalize"), ("compile_section", "section:constants")],
+)
+def test_a_fault_in_compile_or_finalize_fails_the_run(
+    monkeypatch, caplog, report, config, name, stage
+):
+    import scenforge.pipeline as pipeline
+
+    def broken(*args, **kwargs):
+        raise RuntimeError(f"{name} broke")
+
+    monkeypatch.setattr(pipeline, name, broken)
+    result = run_report(report, config, gateway_for(happy_transcript()))
+    assert not result.success
+    assert result.failure == f"{stage}: RuntimeError: {name} broke"
+    assert [t.outcome for t in result.traces if t.stage == stage] == ["failed"]
+    logged = [r for r in caplog.records if r.getMessage() == f"stage {stage} failed"]
+    assert len(logged) == 1 and logged[0].exc_info[1].args == (f"{name} broke",)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from scenforge.scene import check_validity
 from scenforge.scenic import (
     ModelRegistry,
     ast,
@@ -258,3 +259,33 @@ def test_fold_number_rules():
     assert fold("+ " * 33 + "7") is None
     assert fold("Normal(1, 2)") is None
     assert fold("'text'") is None
+
+
+def test_fold_number_gives_none_for_a_non_finite_result():
+    def fold(source, names=None):
+        return ast.fold_number(parse_expression(source), names)
+
+    assert fold("1e308 * 10") is None
+    assert fold("-1e308 * 10") is None
+    assert fold("1e308 + 1e308") is None
+    assert fold("1 / 1e-320") is None
+    assert fold("S * 10", {"S": 1e308}) is None
+    assert fold("(1e308 * 10) - (1e308 * 10)") is None  # inf - inf is nan
+    assert fold("1e308 * 10 * 0") is None
+    assert fold("1e308 * 1") == 1e308
+    assert fold("1e308 + 1e308 - 1e308") is None
+
+
+@pytest.mark.parametrize(
+    "call",
+    ["Range(1e308 * 10, 0)", "Normal(0, -1e308 * 10)", "TruncatedNormal(0, 1, 1e308 * 10, 0)"],
+)
+def test_validator_leaves_a_non_finite_fold_to_the_scene(call, registry, cross4):
+    # the folder used to hand the validator inf, which it read as inverted
+    # bounds or a negative deviation; the evaluator names the real cause
+    source = f"X = {call}\nego = new Car at (0, 0)\n"
+    result = "-inf" if "-1e308" in call else "inf"
+    assert validate(parse_program(source).program, registry) == []
+    assert messages(check_validity(source, registry, cross4, seed=1).diagnostics) == [
+        f"execution failed: line 1: '*' gave a non-finite number ({result})"
+    ]
