@@ -9,10 +9,11 @@ line constraints, with retrieved examples in the prompt. Each part is
 compiled; compiler diagnostics drive a bounded zero-shot repair loop.
 The clean section texts, keyed by kind, are stitched in canonical order,
 and the whole program must instantiate a scene, with a second bounded
-repair loop on failure. A clean program is parsed once, by sections: the
-first check runs on `ast.program_of` of the compiled statements, the one
-rule that groups assignments by value, as parsing text does. Program text
-is parsed only after that check fails (for program lines) or a repair.
+repair loop on failure. Sections are compiled at their lines in the
+stitched program, so a clean program is parsed once, by sections, and
+checked once: on `ast.program_of` of the compiled statements, the one
+rule that groups assignments by value, as parsing text does. Only a
+program repair's text is parsed again.
 
 Model calls run in four layers, each joined before the next starts:
 
@@ -71,8 +72,8 @@ from .prompts import PromptFactory, extract_code, section_constraint
 from .retrieval import LocalHashEmbedder, VectorStore, hyde_query
 from .scene import ValidityReport, check_validity
 from .scenic import (
+    KEYWORDS,
     SECTION_KINDS,
-    TokenKind,
     ast,
     compile_section,
     has_errors,
@@ -80,9 +81,9 @@ from .scenic import (
     parse_section,  # noqa: F401  (bench/tracing.py wraps this name)
     render_diagnostics,
     section_behaviors,
+    section_first_line,
     section_names,
     stitch,
-    tokenize,
 )
 from .scenic.diagnostics import ERROR, Diagnostic
 
@@ -190,6 +191,15 @@ class _TraceRecorder:
         events.clear()
 
 
+def _failure_message(stage: str, error: Exception) -> str:
+    """Why ``stage`` failed: a package error's own text, or for a fault in
+    the program its type and message, with the traceback logged."""
+    if isinstance(error, ScenForgeError):
+        return str(error)
+    log.error("stage %s failed", stage, exc_info=error)
+    return f"{type(error).__name__}: {error}"
+
+
 class _StageFailed(Exception):
     """A stage failed: what its trace and the failed RunResult need.
     ``skipped`` lists (stage, _StageRun) siblings whose calls were made
@@ -197,12 +207,7 @@ class _StageFailed(Exception):
 
     def __init__(self, stage: str, events: list, error: Exception, diagnostics=(),
                  skipped=()):
-        if isinstance(error, ScenForgeError):
-            message = str(error)
-        else:  # a fault in the program: name its type, log its traceback
-            message = f"{type(error).__name__}: {error}"
-            log.error("stage %s failed", stage, exc_info=error)
-        super().__init__(message)
+        super().__init__(_failure_message(stage, error))
         self.stage = stage
         self.events = events
         self.diagnostics = list(diagnostics)
@@ -293,9 +298,9 @@ def _interpret_answers(raw) -> tuple[list[Answer], list[prompts.RawAnswer]]:
 
 def _parse_assignment_value(label: str, rhs: str):
     # `label = rhs` is an assignment only when the label is a name, not a
-    # keyword such as `at`
-    tokens, lex_errors = tokenize(label)
-    if lex_errors or [t.kind for t in tokens] != [TokenKind.IDENT, TokenKind.EOF]:
+    # keyword such as `at`. The label matched `[A-Za-z_]\w*`, which the
+    # scanner reads as one word, so it is a name unless it is a keyword.
+    if label in KEYWORDS:
         return None
     expr = parse_expression(rhs)
     if expr is None:
@@ -383,10 +388,12 @@ def repair_section(
     env=(),
     known_behaviors=None,
     report_id: str = "report",
+    texts=None,
 ):
     """Compiler-feedback repair: reprompt with the rendered diagnostics,
     recompile each candidate, stop at the first clean one. Performs
-    exactly ``budget`` attempts before raising RepairExhausted."""
+    exactly ``budget`` attempts before raising RepairExhausted. A candidate
+    is compiled at its line after the earlier sections in ``texts``."""
     current_text = section_text
     current_diags = list(diagnostics)
     for attempt in range(1, budget + 1):
@@ -396,7 +403,8 @@ def repair_section(
         completion = gateway.complete(request)
         candidate = extract_code(completion.text)
         statements, diags = compile_section(
-            candidate, kind, registry, env, known_behaviors
+            candidate, kind, registry, env, known_behaviors,
+            section_first_line(texts or {}, kind, candidate),
         )
         if statements is not None and not has_errors(diags):
             return candidate, statements, attempt
@@ -413,12 +421,10 @@ def finalize(texts: dict, statements: list, config: PipelineConfig,
     """Stitch the section texts (keyed by kind), check validity (including
     scene instantiation), and run the whole-program repair loop when the
     execution check fails. The first check runs on the compiled
-    ``statements``; a failing one is redone on the text, for its lines."""
+    ``statements``, which carry their lines in the stitched program."""
     program = stitch(texts)
     setting = (config.registry, config.network, config.seed)
     validity = check_validity(ast.program_of(statements), *setting)
-    if not validity.valid:
-        validity = check_validity(program, *setting)
     attempts = 0
     while not validity.valid and attempts < config.program_retry_budget:
         attempts += 1
@@ -573,14 +579,15 @@ def _compose(report, config, gateway, retrieval, recorder, repairs):
         try:
             if text.strip():
                 statements, diags = compile_section(
-                    text, kind, config.registry, env, behaviors_map
+                    text, kind, config.registry, env, behaviors_map,
+                    section_first_line(texts, kind, text),
                 )
             if statements is None or has_errors(diags):
                 with recording(run.events):
                     text, statements, count = repair_section(
                         kind, text, diags, gateway, factory,
                         config.section_retry_budget, config.registry, env,
-                        behaviors_map, report.id,
+                        behaviors_map, report.id, texts,
                     )
         except (RepairExhausted, GatewayError) as exc:
             repairs[kind] = config.section_retry_budget
@@ -627,7 +634,8 @@ def run_baseline(
     gateway: Gateway,
     retrieval: RetrievalSetup | None = None,
 ) -> RunResult:
-    """One-shot baseline strategies; no compiler or execution feedback."""
+    """One-shot baseline strategies; no compiler or execution feedback.
+    Any exception gives a failed RunResult naming the stage."""
     if strategy not in BASELINE_STRATEGIES:
         raise ValueError(f"unknown baseline strategy {strategy!r}")
     retrieval = retrieval or RetrievalSetup()
@@ -636,7 +644,7 @@ def run_baseline(
     events: list = []
     start = time.perf_counter()
 
-    def failed(stage: str, message: str) -> RunResult:
+    def failed(stage: str, error: Exception) -> RunResult:
         recorder.close(stage, events, OUTCOME_FAILED)
         return RunResult(
             report_id=report.id,
@@ -646,9 +654,10 @@ def run_baseline(
             traces=recorder.traces,
             wall_seconds=time.perf_counter() - start,
             success=False,
-            failure=f"{stage}: {message}",
+            failure=f"{stage}: {_failure_message(stage, error)}",
         )
 
+    stage = strategy
     try:
         with recording(events):
             if strategy == "constrained":
@@ -671,10 +680,10 @@ def run_baseline(
                 )
                 program = extract_code(completion.text)
                 recorder.close(strategy, events)
-    except (GatewayError, ScenForgeError) as exc:
-        return failed(strategy, str(exc))
-
-    validity = check_validity(program, config.registry, config.network, config.seed)
+        stage = "validity"
+        validity = check_validity(program, config.registry, config.network, config.seed)
+    except Exception as exc:
+        return failed(stage, exc)
     return RunResult(
         report_id=report.id,
         strategy=strategy,

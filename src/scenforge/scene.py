@@ -584,7 +584,7 @@ class _SceneEvaluator:
                 behavior.name, behavior.params, behavior
             )
         for stmt in self.program.spatial:
-            if isinstance(stmt, (ast.Assign, ast.ConstantDecl)):
+            if isinstance(stmt, ast.Assign):
                 self.env[stmt.name] = self.concrete(stmt.value)
             elif isinstance(stmt, ast.ObjectDecl):
                 placed = self.place(stmt)
@@ -688,8 +688,8 @@ def check_validity(
     max_rejections: int = DEFAULT_MAX_REJECTIONS,
 ) -> ValidityReport:
     """The three-stage validity check: parse, validate, instantiate. Text
-    is parsed first; an ``ast.Program`` (say, ``ast.program_of`` compiled
-    sections) is validated as it is, with its own source's line numbers."""
+    is parsed first; an ``ast.Program`` is validated as it is, diagnostics
+    carrying its nodes' lines (program lines, for compiled sections)."""
     if isinstance(program, str):
         parsed = parse_program(program)
         if not parsed.ok:

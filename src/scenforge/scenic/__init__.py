@@ -4,7 +4,7 @@ from . import ast
 from .diagnostics import ERROR, Diagnostic, has_errors, render_diagnostics
 from .formatter import format_expr, format_program, format_section, format_statement
 from .parser import ParseResult, SectionResult, parse_expression, parse_program, parse_section
-from .sections import compile_section, stitch
+from .sections import compile_section, section_first_line, stitch
 from .tokens import KEYWORDS, Token, TokenKind, tokenize
 from .validator import (
     BUILTIN_ACTIONS,
@@ -33,6 +33,6 @@ __all__ = [
     "validate", "validate_section", "section_behaviors", "section_names",
     "BUILTIN_ACTIONS", "BUILTIN_BEHAVIORS", "BUILTIN_FUNCTIONS",
     "BUILTIN_NAMES", "BUILTIN_VALUES",
-    "compile_section", "stitch",
+    "compile_section", "section_first_line", "stitch",
     "SECTION_KINDS",
 ]

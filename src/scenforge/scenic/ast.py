@@ -173,9 +173,6 @@ class WithSpecifier:
     col: int = _pos()
 
 
-Specifier = Union[AtSpecifier, OnSpecifier, FollowingSpecifier, WithSpecifier]
-
-
 @dataclass(frozen=True)
 class NewExpr:
     class_name: str
@@ -238,9 +235,6 @@ class InterruptWhen:
     col: int = _pos()
 
 
-BehaviorStmt = Union[TakeStmt, WaitStmt, DoStmt, InterruptWhen]
-
-
 @dataclass(frozen=True)
 class BehaviorDef:
     name: str
@@ -280,10 +274,6 @@ class TerminateWhen:
     col: int = _pos()
 
 
-SpatialStmt = Union[Assign, ObjectDecl, RequireStmt, TerminateWhen]
-Statement = Union[ConstantDecl, BehaviorDef, SpatialStmt]
-
-
 @dataclass(frozen=True)
 class Program:
     constants: tuple = ()
@@ -300,10 +290,8 @@ def program_of(statements) -> Program:
     value is constant-grade, else an Assign, whatever its section."""
     constants, behaviors, spatial = [], [], []
     for stmt in statements:
-        if isinstance(stmt, (ConstantDecl, Assign)):
-            kind = ConstantDecl if is_constant_expr(stmt.value) else Assign
-            if type(stmt) is not kind:
-                stmt = kind(stmt.name, stmt.value, line=stmt.line, col=stmt.col)
+        if isinstance(stmt, Assign) and is_constant_expr(stmt.value):
+            stmt = ConstantDecl(stmt.name, stmt.value, line=stmt.line, col=stmt.col)
         {ConstantDecl: constants, BehaviorDef: behaviors}.get(type(stmt), spatial).append(stmt)
     return Program(tuple(constants), tuple(behaviors), tuple(spatial))
 

@@ -25,6 +25,14 @@ class Diagnostic:
         return text
 
 
+def located(message: str, line: int, col: int, lines: list[str], first_line: int = 1) -> Diagnostic:
+    """An error at program line ``line``, reported at its line in a source
+    of ``lines`` that starts on program line ``first_line``."""
+    own = line - first_line + 1
+    snippet = lines[own - 1] if 1 <= own <= len(lines) else ""
+    return Diagnostic(ERROR, message, own, col, snippet)
+
+
 def has_errors(diagnostics: Iterable[Diagnostic]) -> bool:
     return any(d.severity == ERROR for d in diagnostics)
 

@@ -33,6 +33,9 @@ legal in each of the three program sections:
 * ``behaviors``  - behavior definitions only.
 * ``spatial``    - assignments, object declarations, require and
   terminate-when statements.
+
+A section is parsed at ``first_line``, its first line in the stitched
+program: nodes carry program lines, diagnostics the section's own lines.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import math
 from dataclasses import dataclass
 
 from . import ast
-from .diagnostics import ERROR, Diagnostic, has_errors
+from .diagnostics import Diagnostic, has_errors, located
 from .tokens import Token, TokenKind, source_lines, tokenize
 
 _MAX_DIAGNOSTICS = 200
@@ -103,9 +106,10 @@ def _describe(tok: Token) -> str:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], lines: list[str]):
+    def __init__(self, tokens: list[Token], lines: list[str], first_line: int = 1):
         self.tokens = tokens
         self.lines = lines
+        self.first_line = first_line  # the program line of lines[0]
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
         self.depth = 0  # open brackets, prefix operators, lambdas and interrupt blocks
@@ -133,16 +137,9 @@ class _Parser:
             return self.advance()
         return None
 
-    def _snippet(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1]
-        return ""
-
     def fail(self, message: str, tok: Token | None = None) -> _ParseError:
         tok = tok or self.peek()
-        return _ParseError(
-            Diagnostic(ERROR, message, tok.line, tok.col, self._snippet(tok.line))
-        )
+        return _ParseError(located(message, tok.line, tok.col, self.lines, self.first_line))
 
     def expect(self, kind: TokenKind, text: str | None = None, what: str = "") -> Token:
         tok = self.match(kind, text)
@@ -493,9 +490,9 @@ class _Parser:
         raise self.fail(f"expected an expression, found {_describe(tok)}")
 
 
-def _run_parser(source: str) -> tuple[list, list[Diagnostic]]:
-    tokens, lex_diags = tokenize(source)
-    parser = _Parser(tokens, source_lines(source))
+def _run_parser(source: str, first_line: int = 1) -> tuple[list, list[Diagnostic]]:
+    tokens, lex_diags = tokenize(source, first_line)
+    parser = _Parser(tokens, source_lines(source), first_line)
     stmts = parser.parse_statements()
     return stmts, lex_diags + parser.diagnostics
 
@@ -530,35 +527,30 @@ def parse_program(source: str) -> ParseResult:
     return ParseResult(ast.program_of(stmts), diagnostics)
 
 
-def parse_section(source: str, kind: str) -> SectionResult:
-    """Parse one program section, accepting only statements legal there."""
+def parse_section(source: str, kind: str, first_line: int = 1) -> SectionResult:
+    """Parse one program section, accepting only statements legal there.
+    Nodes carry program lines from ``first_line`` on, diagnostics the lines
+    of ``source``; ``ast.program_of``, not this, classifies assignments."""
     if kind not in ast.SECTION_KINDS:
         raise ValueError(f"unknown section kind: {kind!r}")
-    stmts, diagnostics = _run_parser(source)
+    stmts, diagnostics = _run_parser(source, first_line)
     lines = source_lines(source)
-    checked: list = []
     for stmt in stmts:
         misplaced = _section_violation(stmt, kind)
         if misplaced:
-            snippet = lines[stmt.line - 1] if 1 <= stmt.line <= len(lines) else ""
-            diagnostics.append(Diagnostic(ERROR, misplaced, stmt.line, stmt.col, snippet))
-            continue
-        checked.append(_coerce_for_section(stmt, kind))
-    if has_errors(diagnostics):
-        return SectionResult(kind, None, diagnostics)
-    return SectionResult(kind, checked, diagnostics)
+            diagnostics.append(located(misplaced, stmt.line, stmt.col, lines, first_line))
+    return SectionResult(kind, None if has_errors(diagnostics) else stmts, diagnostics)
 
 
 def _section_violation(stmt, kind: str) -> str | None:
     label = {
-        ast.ConstantDecl: "assignment",
         ast.Assign: "assignment",
         ast.ObjectDecl: "object declaration",
         ast.BehaviorDef: "behavior definition",
         ast.RequireStmt: "require statement",
         ast.TerminateWhen: "terminate statement",
     }[type(stmt)]
-    if kind == "constants" and not isinstance(stmt, (ast.ConstantDecl, ast.Assign)):
+    if kind == "constants" and not isinstance(stmt, ast.Assign):
         return f"{label} is not allowed in the constants section"
     if kind == "behaviors" and not isinstance(stmt, ast.BehaviorDef):
         return f"{label} is not allowed in the behaviors section"
@@ -566,12 +558,3 @@ def _section_violation(stmt, kind: str) -> str | None:
         return f"{label} is not allowed in the spatial section"
     return None
 
-
-def _coerce_for_section(stmt, kind: str):
-    # constants: every assignment is a declaration; spatial: every
-    # assignment is a scene binding. Keeps section ASTs homogeneous.
-    if kind == "constants" and isinstance(stmt, ast.Assign):
-        return ast.ConstantDecl(stmt.name, stmt.value, line=stmt.line, col=stmt.col)
-    if kind == "spatial" and isinstance(stmt, ast.ConstantDecl):
-        return ast.Assign(stmt.name, stmt.value, line=stmt.line, col=stmt.col)
-    return stmt

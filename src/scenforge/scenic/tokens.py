@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .diagnostics import ERROR, Diagnostic
+from .diagnostics import Diagnostic, located
 
 
 class TokenKind(str, Enum):
@@ -88,12 +88,12 @@ _ESCAPE = re.compile(r"\\([\s\S]?)")
 _LAYOUT = (TokenKind.NEWLINE, TokenKind.INDENT, TokenKind.DEDENT)
 
 
-def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
-    """Tokenize source text.
+def tokenize(source: str, first_line: int = 1) -> tuple[list[Token], list[Diagnostic]]:
+    """Tokenize source text that starts on program line ``first_line``.
 
-    Always returns a token stream ending in an eof token, plus any
-    lexical diagnostics. Indentation becomes indent/dedent tokens and
-    comments are stripped.
+    Always returns a token stream ending in an eof token, in program
+    lines, plus any lexical diagnostics, in the lines of ``source``.
+    Indentation becomes indent/dedent tokens and comments are stripped.
     """
     src = source.replace("\r\n", "\n").replace("\r", "\n")
     lines = src.split("\n")
@@ -101,11 +101,11 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
     diagnostics: list[Diagnostic] = []
     indents = [0]
     depth = 0  # open parentheses and brackets
-    line, line_start, pos, n = 1, 0, 0, len(src)
+    line, line_start, pos, n = first_line, 0, 0, len(src)
     at_line_start = True
 
     def error(message: str, col: int) -> None:
-        diagnostics.append(Diagnostic(ERROR, message, line, col, lines[line - 1]))
+        diagnostics.append(located(message, line, col, lines, first_line))
 
     def continued() -> bool:
         return depth > 0 or bool(tokens) and tokens[-1].is_op(",")

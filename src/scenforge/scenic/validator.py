@@ -84,8 +84,9 @@ def load_registry(path) -> ModelRegistry:
 
 
 class _Checker:
-    def __init__(self, registry: ModelRegistry):
+    def __init__(self, registry: ModelRegistry, first_line: int = 1):
         self.registry = registry
+        self.offset = first_line - 1  # program lines of the nodes -> source lines
         self.diagnostics: list[Diagnostic] = []
         self.scope: set[str] = set(BUILTIN_NAMES)
         self.behaviors: dict[str, tuple] = {}  # name -> params
@@ -93,9 +94,7 @@ class _Checker:
         self.ego_count = 0
 
     def error(self, message: str, node) -> None:
-        self.diagnostics.append(
-            Diagnostic(ERROR, message, getattr(node, "line", 1), getattr(node, "col", 1))
-        )
+        self.diagnostics.append(Diagnostic(ERROR, message, node.line - self.offset, node.col))
 
     # -- expression walking ------------------------------------------
 
@@ -183,7 +182,7 @@ class _Checker:
 
     # -- statement walking ---------------------------------------------
 
-    def declare_constant(self, stmt: ast.ConstantDecl) -> None:
+    def declare_constant(self, stmt: ast.ConstantDecl | ast.Assign) -> None:
         self.check_expr(stmt.value)
         folded = self._fold(stmt.value)
         if folded is not None:
@@ -267,8 +266,6 @@ class _Checker:
                 self.ego_count += 1
         elif isinstance(stmt, (ast.RequireStmt, ast.TerminateWhen)):
             self.check_expr(stmt.condition)
-        elif isinstance(stmt, ast.ConstantDecl):
-            self.declare_constant(stmt)
         else:
             self.error(f"unexpected statement {type(stmt).__name__}", stmt)
 
@@ -322,16 +319,18 @@ def validate_section(
     registry: ModelRegistry,
     env: Iterable[str] = (),
     known_behaviors: dict | None = None,
+    first_line: int = 1,
 ) -> list[Diagnostic]:
     """Validate one parsed section. ``env`` lists names declared by the
     sections compiled before this one; ``known_behaviors`` maps behavior
     names from earlier sections to their parameter tuples (or None when
     the signature is unknown). The spatial section must declare exactly
-    one ego; the other sections have no ego requirement.
+    one ego; the other sections have no ego requirement. Statements carry
+    program lines from ``first_line`` on; diagnostics the section's own.
     """
     if kind not in ast.SECTION_KINDS:
         raise ValueError(f"unknown section kind: {kind!r}")
-    checker = _Checker(registry)
+    checker = _Checker(registry, first_line)
     checker.scope.update(env)
     if known_behaviors:
         checker.behaviors.update(known_behaviors)
@@ -346,7 +345,7 @@ def section_names(statements) -> set[str]:
     """Names a compiled section contributes to later sections' scope."""
     names: set[str] = set()
     for stmt in statements:
-        if isinstance(stmt, (ast.ConstantDecl, ast.Assign, ast.ObjectDecl, ast.BehaviorDef)):
+        if isinstance(stmt, (ast.Assign, ast.ObjectDecl, ast.BehaviorDef)):
             names.add(stmt.name)
     return names
 

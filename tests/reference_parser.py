@@ -16,7 +16,6 @@ from scenforge.scenic.diagnostics import ERROR, Diagnostic, has_errors
 from scenforge.scenic.parser import (
     ParseResult,
     SectionResult,
-    _coerce_for_section,
     _describe,
     _ParseError,
     _section_violation,
@@ -440,12 +439,14 @@ def reference_parse_section(source: str, kind: str) -> SectionResult:
     lines = source_lines(source)
     checked: list = []
     for stmt in stmts:
+        if isinstance(stmt, ast.ConstantDecl):  # sections keep the parser's Assigns
+            stmt = ast.Assign(stmt.name, stmt.value, line=stmt.line, col=stmt.col)
         misplaced = _section_violation(stmt, kind)
         if misplaced:
             snippet = lines[stmt.line - 1] if 1 <= stmt.line <= len(lines) else ""
             diagnostics.append(Diagnostic(ERROR, misplaced, stmt.line, stmt.col, snippet))
             continue
-        checked.append(_coerce_for_section(stmt, kind))
+        checked.append(stmt)
     if has_errors(diagnostics):
         return SectionResult(kind, None, diagnostics)
     return SectionResult(kind, checked, diagnostics)

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import scenforge.pipeline as pipeline
 import scenforge.scene as scene
 from scenforge.bundled import bundled_map, bundled_registry, example_program_paths
 from scenforge.gateway import Gateway, MemoryCache
@@ -34,10 +35,11 @@ from scenforge.scenic import (
     has_errors,
     parse_program,
     section_behaviors,
+    section_first_line,
     section_names,
     stitch,
 )
-from support import CallableBackend, bench_module
+from support import CallableBackend, bench_module, happy_reply
 
 SEEDS = (0, 1, 2)
 REGISTRY = bundled_registry()
@@ -46,15 +48,17 @@ NETWORK = bundled_map("cross4")
 
 def compiled_statements(texts: dict) -> list | None:
     """The sections' statements in canonical order, each compiled as the
-    pipeline does, seeing the names and behaviors before it; None when a
-    section does not compile clean."""
+    pipeline does, at its line in the stitched program and seeing the
+    names and behaviors before it; None when a section does not compile
+    clean."""
     env: set[str] = set()
     behaviors: dict = {}
     statements: list = []
     for kind in SECTION_KINDS:
         if kind not in texts:
             continue
-        stmts, diags = compile_section(texts[kind], kind, REGISTRY, env, behaviors)
+        line = section_first_line(texts, kind, texts[kind])
+        stmts, diags = compile_section(texts[kind], kind, REGISTRY, env, behaviors, line)
         if stmts is None or has_errors(diags):
             return None
         statements.extend(stmts)
@@ -230,8 +234,9 @@ def test_program_of_groups_assignments_by_value():
     spatial = compile_section(
         "x = 5\nego = new Car at (x, 0)\n", "spatial", REGISTRY, {"A", "B"}
     )[0]
+    # sections keep the parser's Assigns; only program_of classifies
     assert [type(s).__name__ for s in constants + spatial] == [
-        "ConstantDecl", "ConstantDecl", "Assign", "ObjectDecl"
+        "Assign", "Assign", "Assign", "ObjectDecl"
     ]
     program = ast.program_of(constants + spatial)
     assert [(type(s).__name__, s.name) for s in program.statements()] == [
@@ -239,10 +244,83 @@ def test_program_of_groups_assignments_by_value():
     ]
 
 
-@pytest.mark.parametrize("shape, parses", [((0, 0), 0), ((1, 0), 0), ((0, 1), 2), ((1, 1), 2)])
+def test_a_constants_section_name_over_names_is_exported_and_spatial():
+    # `B = A * 2` in the constants section still reaches the later
+    # sections; in the program it is a spatial assignment
+    statements = compile_section("A = 2\nB = A * 2\n", "constants", REGISTRY)[0]
+    assert section_names(statements) == {"A", "B"}
+    program = ast.program_of(statements)
+    assert [(type(s).__name__, s.name) for s in program.statements()] == [
+        ("ConstantDecl", "A"), ("Assign", "B")
+    ]
+
+
+def test_a_failing_program_is_checked_once(monkeypatch):
+    # the rejection budget is 1,000: one check samples C0 1,001 times
+    texts = {
+        "constants": "C0 = Normal(10, 1)\n",
+        "spatial": "ego = new Car at (0, 0)\nrequire C0 > 1e9\n",
+    }
+    statements = compiled_statements(texts)
+    samples, checks = [], []
+    sample_value, check = scene.sample_value, pipeline.check_validity
+
+    def counted_check(*args):
+        checks.append(args[0])
+        return check(*args)
+
+    monkeypatch.setattr(scene, "sample_value", lambda *a: samples.append(a) or sample_value(*a))
+    monkeypatch.setattr(pipeline, "check_validity", counted_check)
+    report = first_check(texts, statements, 0)
+    assert not report.valid
+    assert len(checks) == 1 and isinstance(checks[0], ast.Program)
+    assert len(samples) == 1001
+    assert report.diagnostics == check_validity(stitch(texts), REGISTRY, NETWORK, 0).diagnostics
+
+
+SPATIAL = "ego = new Car at (0, 0), with behavior Slow(A)\n"
+
+
+@pytest.mark.parametrize(
+    "repaired, expected",
+    [
+        ({"repair:constants": "\n\nA = 2\nB = A * 2\n"}, ("name 'B' is not defined", 5)),
+        (
+            {"repair:spatial": "\r\n\r\n" + SPATIAL + "C = 1e308 * 10\n"},
+            ("execution failed: line 10: '*' gave a non-finite number (inf)", 1),
+        ),
+    ],
+    ids=["constants", "spatial"],
+)
+def test_a_run_checks_its_program_in_program_lines(repaired, expected):
+    # sections, a repaired one among them, start after blank lines: the
+    # one check reports the stitched text's lines
+    replies = {
+        "section:constants": "A = (\n" if "repair:constants" in repaired else "A = 2\nB = 1\n",
+        "section:behaviors": "\nbehavior Slow(speed):\n    take SetBrakeAction(B)\n",
+        "section:spatial": "ego = (\n" if "repair:spatial" in repaired else "\r\n\r\n" + SPATIAL,
+        **repaired,
+    }
+
+    def respond(request):
+        return replies.get(request.stage_tag.rpartition("/")[2]) or happy_reply(request)
+
+    gateway = Gateway(CallableBackend(respond), cache=MemoryCache())
+    try:
+        config = PipelineConfig(registry=REGISTRY, network=NETWORK, program_retry_budget=0)
+        result = run_report(bench_module("cases").make_case(1, 0).report, config, gateway)
+    finally:
+        gateway.close()
+    assert sum(result.repairs.values()) == 1 and not result.success
+    stitched = check_validity(result.final_program, REGISTRY, NETWORK, 0).diagnostics
+    assert [(d.message, d.line) for d in stitched] == [expected]
+    assert result.validity.diagnostics == stitched
+
+
+@pytest.mark.parametrize("shape, parses", [((0, 0), 0), ((1, 0), 0), ((0, 1), 1), ((1, 1), 1)])
 def test_a_clean_program_is_not_parsed_again(monkeypatch, shape, parses):
-    # (section repair, program repair): a failing first check parses the
-    # stitched text, then the program repair's text
+    # (section repair, program repair): a failing first check already has
+    # program lines, so only the program repair's text is parsed
     calls = []
 
     def counted(text):

@@ -118,7 +118,7 @@ def test_constants_section_accepts_declarations():
     result = parse_section("TRUCK_SPEED = 10", "constants")
     assert result.ok
     (decl,) = result.statements
-    assert isinstance(decl, ast.ConstantDecl)
+    assert isinstance(decl, ast.Assign)  # ast.program_of classifies it by value
 
 
 def test_constants_section_rejects_object_declaration():
@@ -508,3 +508,50 @@ def test_reference_reads_an_infinite_float():
     assert [d.message for d in parse_program("X = 1e999\n").diagnostics] == [
         "number literal out of range"
     ]
+
+
+# --- the line origin -------------------------------------------------------------
+
+import dataclasses  # noqa: E402
+
+from scenforge.bundled import bundled_registry  # noqa: E402
+from scenforge.scenic import compile_section, tokenize  # noqa: E402
+
+REGISTRY = bundled_registry()
+BREAKS = ["", "\n", "\r\n", "\r", "\n\n\r\n", "\r\r"]
+EOF_ERRORS = ["", "X = (", "X = (1,\n\n", "behavior B(", "take )", "'open", "\n    wait\n"]
+
+
+def positions(node) -> list:
+    """(type, line, col) of every AST node under node, depth first."""
+    if isinstance(node, (list, tuple)):
+        return [p for item in node for p in positions(item)]
+    if not dataclasses.is_dataclass(node):
+        return []
+    return [(type(node).__name__, node.line, node.col)] + [
+        p for f in dataclasses.fields(node) if f.compare for p in positions(getattr(node, f.name))
+    ]
+
+
+@given(
+    st.sampled_from(BREAKS), corpus_slices(), st.sampled_from(BREAKS),
+    st.sampled_from(EOF_ERRORS), st.sampled_from(SECTION_KINDS), st.integers(-3, 50),
+)
+@example("\n\n", "x = 1", "", "", "spatial", -1)
+@example("\r\n", "A = 1\rB = (", "\r", "", "constants", 7)
+@example("", "behavior B():\n    take )\n    wait", "\n\n", "", "behaviors", 3)
+@settings(max_examples=300, deadline=None)
+def test_the_first_line_moves_nodes_and_never_diagnostics(before, text, after, tail, kind, first_line):
+    source = before + text + after + tail
+    shift = first_line - 1
+    tokens, lex_diagnostics = tokenize(source)
+    moved_tokens, moved_lex_diagnostics = tokenize(source, first_line)
+    assert moved_lex_diagnostics == lex_diagnostics
+    assert [(t.kind, t.text, t.line + shift, t.col) for t in tokens] == [
+        (t.kind, t.text, t.line, t.col) for t in moved_tokens
+    ]
+    statements, diagnostics = compile_section(source, kind, REGISTRY)
+    moved, moved_diagnostics = compile_section(source, kind, REGISTRY, first_line=first_line)
+    assert moved_diagnostics == diagnostics
+    assert (moved is None) == (statements is None)
+    assert positions(moved) == [(name, line + shift, col) for name, line, col in positions(statements)]

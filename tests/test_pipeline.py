@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from scenforge.errors import MarkerMissing, RepairExhausted
 from scenforge.gateway import Gateway, MemoryCache, PlaybackBackend
 from scenforge.pipeline import (
+    BASELINE_STRATEGIES,
     PipelineConfig,
     PromptFactory,
     RetrievalSetup,
@@ -535,7 +537,7 @@ from reference_parser import reference_parse_section  # noqa: E402
 from scenforge import prompts  # noqa: E402
 from scenforge.distributions import distribution_from_expr  # noqa: E402
 from scenforge.pipeline import _parse_assignment_value  # noqa: E402
-from scenforge.scenic import ast  # noqa: E402
+from scenforge.scenic import TokenKind, ast, tokenize  # noqa: E402
 
 
 def reference_assignment_value(label: str, rhs: str):
@@ -586,6 +588,26 @@ def test_answer_value_matches_the_whole_section_parse(line):
     assert _parse_assignment_value(answer.label, answer.text) == reference_assignment_value(
         answer.label, answer.text
     )
+
+
+def tokenize_label_rule(label: str) -> bool:
+    """The label check before the keyword lookup: one identifier token."""
+    tokens, errors = tokenize(label)
+    return not errors and [t.kind for t in tokens] == [TokenKind.IDENT, TokenKind.EOF]
+
+
+@given(st.sampled_from(LABELS) | st.from_regex(r"[A-Za-z_]\w*", fullmatch=True))
+@example("A½")
+@example("x²")
+@example("_٣")
+@example("AⅫ")
+@settings(max_examples=500, deadline=None)
+def test_answer_labels_are_names_unless_keywords_as_the_scanner_reads_them(label):
+    # the labels _parse_assignment_value gets are the ones that match
+    # the answer-line pattern
+    match = prompts._ASSIGNMENT_LINE.match(f"{label} = 5")
+    assume(match is not None and match[1] == label)
+    assert (_parse_assignment_value(label, "5") == 5) == tokenize_label_rule(label)
 
 
 @pytest.mark.parametrize(
@@ -767,3 +789,54 @@ def test_a_fault_in_compile_or_finalize_fails_the_run(
     assert [t.outcome for t in result.traces if t.stage == stage] == ["failed"]
     logged = [r for r in caplog.records if r.getMessage() == f"stage {stage} failed"]
     assert len(logged) == 1 and logged[0].exc_info[1].args == (f"{name} broke",)
+
+
+BASELINE_REPLIES = {
+    "section:constants": "SPEED = Normal(5, 1)",
+    "section:behaviors": "behavior Go(s):\n    do FollowLaneBehavior(s)",
+    "section:spatial": "ego = new Car at (0, 0), with behavior Go(SPEED)",
+}
+
+
+def _baseline_reply(request) -> str:
+    return BASELINE_REPLIES.get(request.stage_tag.rpartition("/")[2], VALID_PROGRAM)
+
+
+def _baseline_run(strategy, report, config, respond):
+    gateway = gateway_for(CallableBackend(respond))
+    try:
+        return run_report(report, replace(config, strategy=strategy), gateway, _store())
+    finally:
+        gateway.close()
+
+
+@pytest.mark.parametrize("strategy", BASELINE_STRATEGIES)
+def test_a_backend_fault_fails_a_baseline_run_at_its_stage(caplog, report, config, strategy):
+    def broken(request):
+        raise RuntimeError("backend broke")
+
+    result = _baseline_run(strategy, report, config, broken)
+    assert not result.success
+    assert result.final_program is None
+    assert result.failure == f"{strategy}: RuntimeError: backend broke"
+    assert [t.outcome for t in result.traces if t.stage == strategy] == ["failed"]
+    logged = [r for r in caplog.records if r.getMessage() == f"stage {strategy} failed"]
+    assert len(logged) == 1 and logged[0].exc_info[1].args == ("backend broke",)
+
+
+@pytest.mark.parametrize("strategy", BASELINE_STRATEGIES)
+def test_a_fault_in_the_check_fails_a_baseline_run(monkeypatch, caplog, report, config, strategy):
+    import scenforge.pipeline as pipeline
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("check_validity broke")
+
+    monkeypatch.setattr(pipeline, "check_validity", broken)
+    result = _baseline_run(strategy, report, config, _baseline_reply)
+    assert not result.success
+    assert result.final_program is None
+    assert result.failure == "validity: RuntimeError: check_validity broke"
+    assert [t.outcome for t in result.traces][-1:] == ["failed"]
+    assert [t.stage for t in result.traces if t.outcome == "failed"] == ["validity"]
+    logged = [r for r in caplog.records if r.getMessage() == "stage validity failed"]
+    assert len(logged) == 1
