@@ -129,7 +129,6 @@ class CacheEntry:
     key: str
     text: str
     token_count: int
-    created_at: str
 
 
 @dataclass
@@ -212,15 +211,14 @@ class MemoryCache:
         return self._entries.get(key)
 
     def put(self, key: str, text: str, token_count: int) -> None:
-        self._entries.setdefault(
-            key,
-            CacheEntry(key, text, token_count, datetime.now(timezone.utc).isoformat()),
-        )
+        self._entries.setdefault(key, CacheEntry(key, text, token_count))
 
 
 class FileCache:
     """One file per entry, named by digest. Writes go through a temp
-    file and an atomic rename, so concurrent writers are idempotent."""
+    file and an atomic rename, so concurrent writers are idempotent. An
+    entry that is not a JSON object with a string ``text`` and an integer
+    ``token_count`` is a miss, and the next ``put`` replaces it."""
 
     def __init__(self, directory):
         self.directory = Path(directory)
@@ -233,14 +231,19 @@ class FileCache:
         path = self._path(key)
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):
             return None
-        return CacheEntry(key, data["text"], data["token_count"], data["created_at"])
+        if not isinstance(data, dict):
+            return None
+        text, token_count = data.get("text"), data.get("token_count")
+        if not isinstance(text, str) or not isinstance(token_count, int):
+            return None
+        return CacheEntry(key, text, token_count)
 
     def put(self, key: str, text: str, token_count: int) -> None:
-        path = self._path(key)
-        if path.exists():
+        if self.get(key) is not None:
             return
+        path = self._path(key)
         payload = {
             "key": key,
             "text": text,

@@ -25,12 +25,13 @@ Model calls run in four layers, each joined before the next starts:
 A call depends only on earlier layers: the draft on the report alone, a
 section prompt on the report, objects, answers and examples, never on
 another section's text. So a happy-path run waits on 4 sequential model
-round trips instead of 7 (6 without a retrieval store). The calls of a
-layer run side by side on the gateway's pool while the caller waits.
-After the last layer the sections are compiled and repaired on the
-calling thread in the fixed order constants, behaviors, spatial, so
-names flow from one section into the next and every repair prompt is
-the one a sequential run would send.
+round trips instead of 7 (6 without a retrieval store). The calling
+thread runs the first stage of each layer (objects, questions, answers,
+constants) and the gateway's pool runs the others beside it. After the
+last layer the sections are compiled and repaired on the calling thread
+in the fixed order constants, behaviors, spatial, so names flow from one
+section into the next and every repair prompt is the one a sequential
+run would send.
 
 Each stage records its calls in its own sink; traces are kept in stage
 order, not arrival order. When a stage fails, sibling calls of its layer
@@ -39,9 +40,9 @@ constants section cannot be repaired, the HyDE draft when objects
 fails). Their replies are cached like any other, and their calls are
 traced after the failing stage with outcome "skipped".
 
-Baseline strategies issue one-shot generations (sectioned for the
-constrained baseline) and never see compiler feedback; they exist for
-comparison runs.
+Baseline strategies issue one-shot generations and never see compiler
+feedback; they exist for comparison runs. The constrained baseline's
+three section generations are one layer, traced and failed per section.
 """
 
 from __future__ import annotations
@@ -240,13 +241,12 @@ class _StageRun:
 
 def _run_layer(gateway: Gateway, runs) -> None:
     """Run one layer's independent stage tasks and wait for every one.
-    A lone task runs on the calling thread; a wider layer fans out on the
-    gateway's pool. Tasks never fan out again, so the bounded pool cannot
-    deadlock on them."""
-    if len(runs) == 1:
-        runs[0]()
-        return
-    for future in [gateway.submit(run) for run in runs]:
+    Tasks 2..N go to the gateway's pool and the first runs on the calling
+    thread, which would otherwise sit idle until the layer joins. Tasks
+    never fan out again, so the bounded pool cannot deadlock on them."""
+    futures = [gateway.submit(run) for run in runs[1:]]
+    runs[0]()
+    for future in futures:
         future.result()
 
 
@@ -473,6 +473,25 @@ def _failure_validity(diagnostics) -> ValidityReport:
     return ValidityReport(False, False, False, list(diagnostics))
 
 
+def _failed_run(report, strategy, recorder, exc: _StageFailed, start, repairs) -> RunResult:
+    """The failed RunResult of a run that ``exc`` stopped: the failing
+    stage's trace, then its issued but unused siblings as skipped."""
+    recorder.close(exc.stage, exc.events, OUTCOME_FAILED, exc.diagnostics)
+    for stage, run in exc.skipped:
+        recorder.close(stage, run.events, OUTCOME_SKIPPED)
+    return RunResult(
+        report_id=report.id,
+        strategy=strategy,
+        final_program=None,
+        validity=_failure_validity(exc.diagnostics),
+        traces=recorder.traces,
+        wall_seconds=time.perf_counter() - start,
+        success=False,
+        failure=f"{exc.stage}: {exc}",
+        repairs=repairs,
+    )
+
+
 def run_pipeline(
     report,
     config: PipelineConfig,
@@ -495,20 +514,7 @@ def run_pipeline(
             report, config, gateway, retrieval or RetrievalSetup(), recorder, repairs
         )
     except _StageFailed as exc:
-        recorder.close(exc.stage, exc.events, OUTCOME_FAILED, exc.diagnostics)
-        for stage, run in exc.skipped:
-            recorder.close(stage, run.events, OUTCOME_SKIPPED)
-        return RunResult(
-            report_id=report.id,
-            strategy=COMPOSITIONAL,
-            final_program=None,
-            validity=_failure_validity(exc.diagnostics),
-            traces=recorder.traces,
-            wall_seconds=time.perf_counter() - start,
-            success=False,
-            failure=f"{exc.stage}: {exc}",
-            repairs=repairs,
-        )
+        return _failed_run(report, COMPOSITIONAL, recorder, exc, start, repairs)
     success = validity.valid
     return RunResult(
         report_id=report.id,
@@ -635,55 +641,39 @@ def run_baseline(
     retrieval: RetrievalSetup | None = None,
 ) -> RunResult:
     """One-shot baseline strategies; no compiler or execution feedback.
+    The constrained baseline's three section generations are one layer.
     Any exception gives a failed RunResult naming the stage."""
     if strategy not in BASELINE_STRATEGIES:
         raise ValueError(f"unknown baseline strategy {strategy!r}")
-    retrieval = retrieval or RetrievalSetup()
     factory = PromptFactory(config.model_id)
     recorder = _TraceRecorder()
-    events: list = []
     start = time.perf_counter()
-
-    def failed(stage: str, error: Exception) -> RunResult:
-        recorder.close(stage, events, OUTCOME_FAILED)
-        return RunResult(
-            report_id=report.id,
-            strategy=strategy,
-            final_program=None,
-            validity=_failure_validity([]),
-            traces=recorder.traces,
-            wall_seconds=time.perf_counter() - start,
-            success=False,
-            failure=f"{stage}: {_failure_message(stage, error)}",
-        )
-
-    stage = strategy
+    if strategy == "constrained":
+        stages = [
+            (f"section:{kind}", _StageRun(_baseline_section, kind, report, gateway, factory))
+            for kind in SECTION_KINDS
+        ]
+    else:
+        stages = [(strategy, _StageRun(
+            _one_shot, strategy, report, config, gateway, factory,
+            retrieval or RetrievalSetup(),
+        ))]
     try:
-        with recording(events):
-            if strategy == "constrained":
-                program = _constrained_baseline(report, gateway, factory, recorder, events)
-            else:
-                examples: list[str] = []
-                if strategy == "few_shot":
-                    examples = list(_fixed_examples())
-                elif strategy == "rag" and _has_store(retrieval):
-                    scored = retrieval.store.query_topk(
-                        report.narrative, config.retrieval_k, retrieval.embedder
-                    )
-                    examples = [s.entry.text for s in scored]
-                elif strategy == "rag_hyde" and _has_store(retrieval):
-                    examples = _retrieve_examples(
-                        report, config, gateway, factory, retrieval
-                    )
-                completion = gateway.complete(
-                    factory.baseline_request(report, strategy, examples)
-                )
-                program = extract_code(completion.text)
-                recorder.close(strategy, events)
-        stage = "validity"
-        validity = check_validity(program, config.registry, config.network, config.seed)
-    except Exception as exc:
-        return failed(stage, exc)
+        _run_layer(gateway, [run for _, run in stages])
+        texts = []
+        for index, (stage, run) in enumerate(stages):
+            texts.append(run.take(stage, stages[index + 1:]))
+            recorder.close(stage, run.events)
+        if strategy == "constrained":
+            program = stitch(dict(zip(SECTION_KINDS, texts)))
+        else:
+            (program,) = texts
+        try:
+            validity = check_validity(program, config.registry, config.network, config.seed)
+        except Exception as exc:
+            raise _StageFailed("validity", [], exc) from exc
+    except _StageFailed as exc:
+        return _failed_run(report, strategy, recorder, exc, start, {})
     return RunResult(
         report_id=report.id,
         strategy=strategy,
@@ -696,14 +686,24 @@ def run_baseline(
     )
 
 
-def _constrained_baseline(report, gateway, factory, recorder, events) -> str:
-    texts = {}
-    for kind in SECTION_KINDS:
-        request = factory.baseline_section_request(report, kind)
-        completion = gateway.complete_constrained(request, section_constraint(kind))
-        texts[kind] = completion.text
-        recorder.close(f"section:{kind}", events)
-    return stitch(texts)
+def _one_shot(strategy, report, config, gateway, factory, retrieval) -> str:
+    examples: list[str] = []
+    if strategy == "few_shot":
+        examples = list(_fixed_examples())
+    elif strategy == "rag" and _has_store(retrieval):
+        scored = retrieval.store.query_topk(
+            report.narrative, config.retrieval_k, retrieval.embedder
+        )
+        examples = [s.entry.text for s in scored]
+    elif strategy == "rag_hyde" and _has_store(retrieval):
+        examples = _retrieve_examples(report, config, gateway, factory, retrieval)
+    completion = gateway.complete(factory.baseline_request(report, strategy, examples))
+    return extract_code(completion.text)
+
+
+def _baseline_section(kind, report, gateway, factory) -> str:
+    request = factory.baseline_section_request(report, kind)
+    return gateway.complete_constrained(request, section_constraint(kind)).text
 
 
 def run_report(

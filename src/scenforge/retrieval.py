@@ -3,7 +3,10 @@
 The store is an exhaustive scan, not an index: it holds tens of example
 programs, so exactness and simplicity win. Scores are plain
 left-to-right float summation, bit-stable against the brute-force
-oracle used in tests.
+oracle used in tests. A query sums only its nonzero components, in index
+order: the skipped terms are signed zeros, which never change a sum that
+starts at +0.0, so the score has the same bits as ``dot``. That holds
+because the store refuses vectors with a non-finite component.
 
 The default embedder is deterministic and offline: token-hash
 bag-of-words into fixed buckets, normalized to unit length, so dot
@@ -13,8 +16,10 @@ the same two-method surface (dimension, embed).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 import re
 import threading
 from dataclasses import dataclass, field
@@ -26,6 +31,13 @@ from .errors import DimensionMismatch, EmptyStore, EmptyText
 DEFAULT_DIMENSION = 256
 
 _TOKEN = re.compile(r"[a-z0-9_]+")
+_TOKEN_HASH_MEMO = 4096  # distinct tokens whose hash is kept
+
+
+@functools.lru_cache(maxsize=_TOKEN_HASH_MEMO)
+def _token_hash(token: str) -> int:
+    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
 
 
 def dot(a, b) -> float:
@@ -34,6 +46,15 @@ def dot(a, b) -> float:
     total = 0.0
     for x, y in zip(a, b):
         total += x * y
+    return total
+
+
+def _sparse_dot(terms, vector) -> float:
+    """``dot`` of a vector given by its nonzero ``(index, value)`` terms,
+    in index order, with a finite ``vector``: the same bits."""
+    total = 0.0
+    for i, x in terms:
+        total += x * vector[i]
     return total
 
 
@@ -47,8 +68,7 @@ class LocalHashEmbedder:
         self.dimension = dimension
 
     def _bucket(self, token: str) -> int:
-        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "big") % self.dimension
+        return _token_hash(token) % self.dimension
 
     def embed(self, text: str) -> tuple:
         tokens = _TOKEN.findall(text.lower())
@@ -98,11 +118,13 @@ class VectorStore:
         return tuple(self._entries)
 
     def _check_vector(self, vector) -> tuple:
-        vector = tuple(float(v) for v in vector)
+        vector = tuple(map(float, vector))
         if len(vector) != self.dimension:
             raise DimensionMismatch(
                 f"vector has dimension {len(vector)}, store expects {self.dimension}"
             )
+        if not all(map(math.isfinite, vector)):
+            raise ValueError("vector has a non-finite component")
         return vector
 
     def add_vector(self, entry_id: str, text: str, vector, metadata: dict | None = None) -> None:
@@ -129,8 +151,8 @@ class VectorStore:
             raise ValueError("k must be >= 1")
         if not self._entries:
             raise EmptyStore("query issued against an empty store")
-        vector = self._check_vector(vector)
-        scored = [ScoredEntry(e, dot(vector, e.vector)) for e in self._entries]
+        terms = [(i, x) for i, x in enumerate(self._check_vector(vector)) if x]
+        scored = [ScoredEntry(e, _sparse_dot(terms, e.vector)) for e in self._entries]
         scored.sort(key=lambda s: s.score, reverse=True)  # stable: ties keep insertion order
         return scored[:k]
 

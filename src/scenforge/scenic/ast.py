@@ -1,8 +1,10 @@
 """AST for the scenario DSL.
 
-All nodes are frozen dataclasses. Source positions are carried on every
-node but excluded from equality, so a parse -> format -> parse round
-trip compares structurally equal.
+All nodes are slotted dataclasses, which are cheaper to build than
+frozen ones. They are immutable by convention: nothing assigns to a node
+after the parser makes it, and nothing hashes one. Source positions are
+carried on every node but excluded from equality, so a parse -> format
+-> parse round trip compares structurally equal.
 
 A program groups statements into the three canonical sections: constant
 declarations, behavior definitions, and spatial (scene) statements.
@@ -33,35 +35,35 @@ def _pos():
 # --- expressions ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NumberLit:
     value: Union[int, float]
     line: int = _pos()
     col: int = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StringLit:
     value: str
     line: int = _pos()
     col: int = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BoolLit:
     value: bool
     line: int = _pos()
     col: int = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Name:
     id: str
     line: int = _pos()
     col: int = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Attribute:
     base: "Expr"
     attr: str
@@ -69,7 +71,7 @@ class Attribute:
     col: int = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Index:
     base: "Expr"
     index: "Expr"
@@ -77,14 +79,14 @@ class Index:
     col: int = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Starred:
     value: "Expr"
     line: int = _pos()
     col: int = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class KeywordArg:
     name: str
     value: "Expr"
@@ -92,7 +94,7 @@ class KeywordArg:
     col: int = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Call:
     func: "Expr"
     args: tuple = ()
@@ -101,7 +103,7 @@ class Call:
     col: int = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Lambda:
     param: str
     body: "Expr"
@@ -109,7 +111,7 @@ class Lambda:
     col: int = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class UnaryOp:
     op: str
     operand: "Expr"
@@ -117,7 +119,7 @@ class UnaryOp:
     col: int = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BinOp:
     op: str
     left: "Expr"
@@ -126,14 +128,14 @@ class BinOp:
     col: int = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TupleExpr:
     items: tuple = ()
     line: int = _pos()
     col: int = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ListExpr:
     items: tuple = ()
     line: int = _pos()
@@ -143,21 +145,21 @@ class ListExpr:
 # --- specifiers and the new-expression ------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AtSpecifier:
     position: "Expr"
     line: int = _pos()
     col: int = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OnSpecifier:
     region: "Expr"
     line: int = _pos()
     col: int = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FollowingSpecifier:
     start: "Expr"
     distance: "Expr"
@@ -165,7 +167,7 @@ class FollowingSpecifier:
     col: int = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WithSpecifier:
     name: str
     value: "Expr"
@@ -173,7 +175,7 @@ class WithSpecifier:
     col: int = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NewExpr:
     class_name: str
     specifiers: tuple = ()
@@ -190,7 +192,7 @@ Expr = Union[
 # --- statements ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ConstantDecl:
     name: str
     value: Expr
@@ -198,20 +200,20 @@ class ConstantDecl:
     col: int = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TakeStmt:
     actions: tuple
     line: int = _pos()
     col: int = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WaitStmt:
     line: int = _pos()
     col: int = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DoStmt:
     call: Expr  # Name or Call of a Name
     line: int = _pos()
@@ -227,7 +229,7 @@ class DoStmt:
         return ""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class InterruptWhen:
     condition: Expr
     body: tuple
@@ -235,7 +237,7 @@ class InterruptWhen:
     col: int = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BehaviorDef:
     name: str
     params: tuple
@@ -244,7 +246,7 @@ class BehaviorDef:
     col: int = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Assign:
     name: str
     value: Expr
@@ -252,7 +254,7 @@ class Assign:
     col: int = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ObjectDecl:
     name: str
     value: NewExpr
@@ -260,21 +262,21 @@ class ObjectDecl:
     col: int = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RequireStmt:
     condition: Expr
     line: int = _pos()
     col: int = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TerminateWhen:
     condition: Expr
     line: int = _pos()
     col: int = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Program:
     constants: tuple = ()
     behaviors: tuple = ()

@@ -18,6 +18,9 @@ newline token and measures no indentation.
 Lexical problems never raise: they are reported as diagnostics and
 scanning continues, so a single pass can surface several errors and the
 lexer is safe on arbitrary text.
+
+Tokens are slotted dataclasses, immutable by convention: nothing assigns
+to a token after the lexer makes it.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ KEYWORDS = frozenset(
 _ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", "'": "'", '"': '"'}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
     kind: TokenKind
     text: str

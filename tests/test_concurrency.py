@@ -9,13 +9,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from scenforge import cli
+from scenforge import cli, pipeline
 from scenforge.bundled import example_program_paths
 from scenforge.errors import BackendUnavailable
 from scenforge.gateway import Gateway, MemoryCache, PromptRequest, recording
-from scenforge.pipeline import PipelineConfig, RetrievalSetup, run_pipeline
+from scenforge.pipeline import PipelineConfig, RetrievalSetup, run_baseline, run_pipeline
+from scenforge.prompts import PromptFactory, section_constraint
 from scenforge.reports import AgentMention, ReportRecord, load_report
 from scenforge.retrieval import LocalHashEmbedder, VectorStore
+from scenforge.scenic import SECTION_KINDS
 from support import (
     BICYCLE_NARRATIVE,
     SleepingBackend,
@@ -51,6 +53,69 @@ def test_happy_path_waits_on_four_round_trips(tmp_path, config, with_store):
     assert result.success
     assert backend.call_count == (7 if with_store else 6)
     assert round_trips(backend.calls) == 4
+
+
+@pytest.mark.parametrize(
+    "with_store, submits", [(True, 3), (False, 2)], ids=["store", "no-store"]
+)
+def test_the_caller_runs_one_stage_of_each_layer(tmp_path, config, monkeypatch,
+                                                 with_store, submits):
+    # layers: objects | draft, questions, answers, constants | behaviors | spatial
+    report = load_report(write_report(tmp_path))
+    ran_on: dict[str, int] = {}
+
+    def traced(stage, key):
+        def run(*args):
+            ran_on[key(args)] = threading.get_ident()
+            return stage(*args)
+        return run
+
+    for name in ("stage_objects", "_retrieve_examples", "stage_questions", "stage_answers"):
+        stage = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name, traced(stage, lambda args, name=name: name))
+    # a section stage is keyed by its kind
+    monkeypatch.setattr(pipeline, "stage_section", traced(pipeline.stage_section, lambda args: args[0]))
+    gateway = Gateway(SleepingBackend(happy_reply, 0.0), cache=MemoryCache())
+    submitted = []
+    submit = gateway.submit
+    monkeypatch.setattr(gateway, "submit", lambda *args: submitted.append(args) or submit(*args))
+    result = run_pipeline(report, config, gateway, bundled_store() if with_store else None)
+    assert result.success
+    assert len(submitted) == submits
+    caller = threading.get_ident()
+    on_caller = {name for name, thread in ran_on.items() if thread == caller}
+    assert on_caller == {"stage_objects", "stage_questions", "stage_answers", "constants"}
+    pooled = {"behaviors", "spatial"} | ({"_retrieve_examples"} if with_store else set())
+    assert set(ran_on) - on_caller == pooled
+
+
+def test_constrained_baseline_waits_on_one_round_trip(tmp_path, config):
+    report = load_report(write_report(tmp_path))
+    backend = SleepingBackend(happy_reply, REMOTE_DELAY)
+    gateway = Gateway(backend, cache=MemoryCache())
+    result = run_baseline("constrained", report, config, gateway)
+    assert result.success
+    assert backend.call_count == 3
+    assert round_trips(backend.calls) == 1
+    # the traces of the same three requests made one after another
+    factory = PromptFactory(config.model_id)
+    replay = Gateway(SleepingBackend(happy_reply, 0.0), cache=MemoryCache())
+    expected = []
+    for kind in SECTION_KINDS:
+        with recording([]) as events:
+            replay.complete_constrained(
+                factory.baseline_section_request(report, kind), section_constraint(kind)
+            )
+        expected.append((f"section:{kind}", "ok", [untimed(e) for e in events]))
+    assert [
+        (t.stage, t.outcome, [untimed(e) for e in t.interactions]) for t in result.traces
+    ] == expected
+
+
+def untimed(event) -> dict:
+    fields = dict(vars(event))
+    del fields["latency_seconds"]
+    return fields
 
 
 def test_layered_run_output_matches_sequential_replay(tmp_path, config):

@@ -11,6 +11,7 @@ from scenforge.errors import (
 )
 from scenforge.gateway import (
     MAX_RETRY_AFTER_SECONDS,
+    CacheEntry,
     ConstraintSpec,
     FileCache,
     Gateway,
@@ -22,8 +23,10 @@ from scenforge.gateway import (
     cache_key,
     recording,
 )
+from scenforge.pipeline import run_report
 from scenforge.prompts import section_constraint
-from support import CallableBackend
+from scenforge.reports import load_report
+from support import CallableBackend, happy_reply, write_report
 
 
 def request(text="hello", stage="r1/objects", **kw):
@@ -108,6 +111,39 @@ def test_file_cache_write_is_atomic_and_idempotent(tmp_path):
     entry = cache.get("k1")
     assert entry.text == "text"
     assert not list(tmp_path.glob("*.tmp*"))
+
+
+MALFORMED_ENTRIES = [
+    "{}", "[]", '"x"', "null", "{not json", '{"text": "t"}',
+    '{"text": "t", "token_count": "2"}', '{"text": 3, "token_count": 2}',
+]
+
+
+@pytest.mark.parametrize("content", MALFORMED_ENTRIES)
+def test_malformed_file_cache_entry_is_a_miss_that_put_replaces(tmp_path, content):
+    cache = FileCache(tmp_path)
+    (tmp_path / "k1.json").write_text(content, encoding="utf-8")
+    assert cache.get("k1") is None
+    cache.put("k1", "text", 2)
+    assert cache.get("k1") == CacheEntry("k1", "text", 2)
+    # the keys on disk are the ones every earlier version wrote
+    stored = json.loads((tmp_path / "k1.json").read_text(encoding="utf-8"))
+    assert sorted(stored) == ["created_at", "key", "text", "token_count"]
+
+
+def test_a_run_over_malformed_cache_entries_succeeds_and_repairs_them(tmp_path, config):
+    report = load_report(write_report(tmp_path))
+    cache_dir = tmp_path / "cache"
+    first = CallableBackend(happy_reply)
+    assert run_report(report, config, Gateway(first, cache_dir=cache_dir)).success
+    entries = sorted(cache_dir.glob("*.json"))
+    for path, content in zip(entries, ["{}", "[]", '"x"', '{"text": "t"}']):
+        path.write_text(content, encoding="utf-8")
+    again = CallableBackend(happy_reply)
+    result = run_report(report, config, Gateway(again, cache_dir=cache_dir))
+    assert result.success
+    assert again.call_count == 4  # one fresh call per broken entry
+    assert all(FileCache(cache_dir).get(path.stem) for path in entries)
 
 
 def test_events_record_interactions():

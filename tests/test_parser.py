@@ -55,6 +55,17 @@ def test_constant_vs_spatial_grouping_is_shape_based():
     assert names == ["DOUBLE"]
 
 
+def test_node_equality_ignores_positions():
+    # the parser's nodes compare by structure; their positions differ here
+    spaced = parse_program("X = 1 +  2\n\nego = new Car at (0, X)\n").program
+    packed = parse_program("X = 1 + 2\nego = new Car at (0,X)\n").program
+    assert spaced == packed
+    assert repr(spaced) != repr(packed)
+    assert spaced != parse_program("X = 1 + 3\nego = new Car at (0, X)\n").program
+    assert ast.Name("x", line=1, col=1) == ast.Name("x", line=7, col=9)
+    assert not hasattr(ast.Name("x"), "__dict__")  # slotted
+
+
 def test_behavior_with_interrupt_block():
     source = (
         "behavior Stop():\n"

@@ -815,13 +815,40 @@ def test_a_backend_fault_fails_a_baseline_run_at_its_stage(caplog, report, confi
     def broken(request):
         raise RuntimeError("backend broke")
 
+    # the constrained baseline's first stage is its constants section
+    stage = "section:constants" if strategy == "constrained" else strategy
     result = _baseline_run(strategy, report, config, broken)
     assert not result.success
     assert result.final_program is None
-    assert result.failure == f"{strategy}: RuntimeError: backend broke"
-    assert [t.outcome for t in result.traces if t.stage == strategy] == ["failed"]
-    logged = [r for r in caplog.records if r.getMessage() == f"stage {strategy} failed"]
+    assert result.failure == f"{stage}: RuntimeError: backend broke"
+    assert [t.outcome for t in result.traces if t.stage == stage] == ["failed"]
+    logged = [r for r in caplog.records if r.getMessage() == f"stage {stage} failed"]
     assert len(logged) == 1 and logged[0].exc_info[1].args == ("backend broke",)
+
+
+def test_a_backend_fault_fails_the_constrained_baseline_at_its_section(caplog, report, config):
+    def respond(request):
+        # the first behaviors reply breaks the format; its regeneration faults
+        if request.stage_tag.endswith("/section:behaviors"):
+            if len(request.messages) > 1:
+                raise RuntimeError("behaviors broke")
+            return "prose, not a behavior"
+        return _baseline_reply(request)
+
+    result = _baseline_run("constrained", report, config, respond)
+    assert result.failure == "section:behaviors: RuntimeError: behaviors broke"
+    assert [(t.stage, t.outcome) for t in result.traces] == [
+        ("section:constants", "ok"),
+        ("section:behaviors", "failed"),
+        ("section:spatial", "skipped"),
+    ]
+    # every call that returned is traced once, the failing stage's in its own trace
+    tags = [[i.stage_tag for i in t.interactions] for t in result.traces]
+    assert tags == [
+        ["r1/section:constants"], ["r1/section:behaviors"], ["r1/section:spatial"],
+    ]
+    logged = [r for r in caplog.records if r.getMessage() == "stage section:behaviors failed"]
+    assert len(logged) == 1
 
 
 @pytest.mark.parametrize("strategy", BASELINE_STRATEGIES)

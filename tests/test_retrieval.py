@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scenforge import retrieval
 from scenforge.errors import DimensionMismatch, EmptyStore, EmptyText
 from scenforge.retrieval import (
     LocalHashEmbedder,
@@ -190,6 +192,50 @@ def test_query_matches_oracle_property(vectors, query, k):
     expected = brute_force_topk(store.entries, [float(q) for q in query], k)
     actual = store.query_vector(query, k)
     assert [(r.entry.id, r.score) for r in actual] == [(e.id, s) for e, s in expected]
+
+
+FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(
+    query=st.lists(FINITE, min_size=6, max_size=6),
+    vectors=st.lists(st.lists(FINITE, min_size=6, max_size=6), min_size=1, max_size=6),
+)
+@settings(max_examples=300, deadline=None)
+def test_sparse_scores_have_the_bits_of_dot(query, vectors):
+    # a query sums only its nonzero terms; on finite vectors, including
+    # zeros, signed zeros and products that overflow, that is dot exactly
+    store = VectorStore(dimension=6)
+    for i, vector in enumerate(vectors):
+        store.add_vector(f"e{i}", f"t{i}", vector)
+    scores = {r.entry.id: r.score for r in store.query_vector(query, len(vectors))}
+    for entry in store.entries:
+        assert scores[entry.id].hex() == dot(query, entry.vector).hex()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_store_refuses_non_finite_components(bad):
+    store = VectorStore(dimension=3)
+    with pytest.raises(ValueError, match="non-finite"):
+        store.add_vector("e", "t", (0.5, bad, 0.0))
+    assert len(store) == 0
+    store.add_vector("e", "t", (0.5, 0.5, 0.0))
+    with pytest.raises(ValueError, match="non-finite"):
+        store.query_vector((bad, 0.0, 0.0), 1)
+
+
+def test_token_hash_memo_is_bounded_and_matches_the_hash():
+    assert retrieval._TOKEN_HASH_MEMO <= 4096
+    assert retrieval._token_hash.cache_info().maxsize == retrieval._TOKEN_HASH_MEMO
+    embedder = LocalHashEmbedder(dimension=97)
+    embedder.embed(" ".join(f"t{i}" for i in range(retrieval._TOKEN_HASH_MEMO + 500)))
+    assert retrieval._token_hash.cache_info().currsize <= retrieval._TOKEN_HASH_MEMO
+    for token in ("cyclist", "t4500", "ego_speed", "0"):
+        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+        assert embedder._bucket(token) == int.from_bytes(digest, "big") % 97
 
 
 # --- persistence ----------------------------------------------------------------

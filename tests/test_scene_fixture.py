@@ -19,7 +19,8 @@ from pathlib import Path
 import pytest
 
 from scenforge.bundled import bundled_map, bundled_registry, example_program_paths
-from scenforge.scene import check_validity
+from scenforge.scene import check_validity, instantiate_scene
+from scenforge.scenic import parse_program, validate
 
 FIXTURE = Path(__file__).parent / "scene_fixture.json"
 SEEDS = (0, 1, 2)
@@ -59,6 +60,17 @@ def test_fixture_covers_every_program(recorded):
 def test_sampled_scene_matches_fixture(path, recorded, registry, cross4):
     for seed in SEEDS:
         assert sampled_scene(path, seed, registry, cross4) == recorded[_key(path, seed)]
+
+
+@pytest.mark.parametrize("path", _programs(), ids=lambda p: p.stem)
+def test_checking_and_sampling_leave_the_parsed_program_as_it_was(path, registry, cross4):
+    # nodes are slotted, not frozen: nothing may assign to one after parsing
+    program = parse_program(path.read_text(encoding="utf-8")).program
+    before = repr(program)
+    assert validate(program, registry) == []
+    for seed in SEEDS:
+        instantiate_scene(program, cross4, seed)
+    assert repr(program) == before
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from reference_lexer import reference_tokenize
 
 from scenforge.bundled import example_program_paths
-from scenforge.scenic.tokens import TokenKind, source_lines, tokenize
+from scenforge.scenic.tokens import Token, TokenKind, source_lines, tokenize
 
 
 def kinds(tokens):
@@ -24,6 +24,13 @@ def test_simple_assignment_token_stream():
     assert tokens[0].text == "EGO_SPEED"
     assert tokens[1].text == "="
     assert tokens[2].text == "10"
+
+
+def test_token_equality_includes_its_position():
+    token = Token(TokenKind.IDENT, "x", 1, 1)
+    assert token == Token(TokenKind.IDENT, "x", 1, 1)
+    assert token != Token(TokenKind.IDENT, "x", 2, 1)
+    assert not hasattr(token, "__dict__")  # slotted
 
 
 def test_empty_source_is_just_eof():
