@@ -15,7 +15,8 @@ checked once: on `ast.program_of` of the compiled statements, the one
 rule that groups assignments by value, as parsing text does. Only a
 program repair's text is parsed again.
 
-Model calls run in four layers, each joined before the next starts:
+One executor per run (`_Stages`) runs every strategy's model calls in
+layers, each joined before the next starts:
 
     1. objects (with its reprompt)  |  HyDE draft and retrieval
     2. questions
@@ -31,18 +32,23 @@ constants) and the gateway's pool runs the others beside it. After the
 last layer the sections are compiled and repaired on the calling thread
 in the fixed order constants, behaviors, spatial, so names flow from one
 section into the next and every repair prompt is the one a sequential
-run would send.
+run would send. Finalize then runs as a one-stage layer.
 
-Each stage records its calls in its own sink; traces are kept in stage
-order, not arrival order. When a stage fails, sibling calls of its layer
-were already issued (the behaviors and spatial generations when the
-constants section cannot be repaired, the HyDE draft when objects
-fails). Their replies are cached like any other, and their calls are
-traced after the failing stage with outcome "skipped".
+Each stage records its calls in its own sink, and its trace is kept when
+the caller closes it: traces follow stage order, not arrival order. The
+HyDE draft's trace closes after answers, a section's after its compile
+and repair. A stage's error, or a section that cannot be repaired, fails
+the run at that stage with the failure "<stage>: <why>". The stage is
+traced "failed", and every stage issued but not yet closed is traced
+"skipped" (the behaviors and spatial generations when the constants
+section cannot be repaired, the HyDE draft when objects fails); their
+replies are cached like any other.
 
 Baseline strategies issue one-shot generations and never see compiler
 feedback; they exist for comparison runs. The constrained baseline's
 three section generations are one layer, traced and failed per section.
+A baseline's validity check is a one-stage layer, traced only when it
+fails.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ import functools
 import json
 import logging
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -154,7 +161,6 @@ class RunResult:
     wall_seconds: float
     success: bool
     failure: str | None = None
-    repairs: dict = field(default_factory=dict)
 
     @property
     def backend_calls(self) -> int:
@@ -165,6 +171,21 @@ class RunResult:
             if not interaction.from_cache
         )
 
+    @property
+    def repairs(self) -> dict:
+        """Repair replies per section kind and for the program: the traced
+        calls tagged `repair:<kind>` and `repair:program`; {} for a
+        baseline. A repair call that raises records no call, so it is not
+        counted."""
+        if self.strategy != COMPOSITIONAL:
+            return {}
+        tags = Counter(
+            interaction.stage_tag.rpartition("/")[2]
+            for trace in self.traces
+            for interaction in trace.interactions
+        )
+        return {kind: tags[f"repair:{kind}"] for kind in (*SECTION_KINDS, "program")}
+
 
 @dataclass(frozen=True)
 class Answer:
@@ -172,24 +193,6 @@ class Answer:
     text: str
     value: object  # DistributionSpec, str, float, or None
     source: str    # model | reprompt | fallback
-
-
-class _TraceRecorder:
-    def __init__(self):
-        self.traces: list[StageTrace] = []
-
-    def close(self, stage: str, events: list, outcome: str = OUTCOME_OK,
-              diagnostics=()) -> None:
-        """Move ``events`` into a new trace for ``stage``."""
-        self.traces.append(
-            StageTrace(
-                stage=stage,
-                interactions=list(events),
-                diagnostics_fed_back=[str(d) for d in diagnostics],
-                outcome=outcome,
-            )
-        )
-        events.clear()
 
 
 def _failure_message(stage: str, error: Exception) -> str:
@@ -202,52 +205,68 @@ def _failure_message(stage: str, error: Exception) -> str:
 
 
 class _StageFailed(Exception):
-    """A stage failed: what its trace and the failed RunResult need.
-    ``skipped`` lists (stage, _StageRun) siblings whose calls were made
-    but whose results go unused."""
+    """A stage failed the run, whose traces are closed. The message is
+    "<stage>: <why>"; ``diagnostics`` are the failed stage's."""
 
-    def __init__(self, stage: str, events: list, error: Exception, diagnostics=(),
-                 skipped=()):
-        super().__init__(_failure_message(stage, error))
-        self.stage = stage
-        self.events = events
+    def __init__(self, message: str, diagnostics):
+        super().__init__(message)
         self.diagnostics = list(diagnostics)
-        self.skipped = list(skipped)
 
 
-class _StageRun:
-    """One stage task: its value or error, and the gateway calls it made."""
+class _Stages:
+    """One run's stages. ``layer`` runs stages together, ``take`` reads a
+    stage's value, ``close`` keeps its trace and ``fail`` fails the run at
+    it. Traces are kept in the order the caller closes their stages."""
 
-    def __init__(self, fn, *args):
-        self.fn = fn
-        self.args = args
-        self.events: list = []
-        self.value = None
-        self.error: Exception | None = None
+    def __init__(self, gateway: Gateway):
+        self.gateway = gateway
+        self.traces: list[StageTrace] = []
+        self.events: dict[str, list] = {}  # issued stage -> its calls, until closed
+        self._values: dict = {}
+        self._errors: dict[str, Exception] = {}
 
-    def __call__(self) -> None:
-        with recording(self.events):
+    def layer(self, *stages) -> None:
+        """Run ``(name, fn, *args)`` stages and wait for every one. Stages
+        2..N go to the gateway's pool and stage 1 runs on the calling
+        thread, which would otherwise sit idle until the layer joins.
+        Stages never fan out again, so the bounded pool cannot deadlock
+        on them."""
+        for name, *_ in stages:
+            self.events[name] = []
+        futures = [self.gateway.submit(self._call, *stage) for stage in stages[1:]]
+        self._call(*stages[0])
+        for future in futures:
+            future.result()
+
+    def _call(self, name: str, fn, *args) -> None:
+        with recording(self.events[name]):
             try:
-                self.value = self.fn(*self.args)
-            except Exception as exc:  # handled by the caller, in stage order
-                self.error = exc
+                self._values[name] = fn(*args)
+            except Exception as exc:  # fails the run when the caller takes it
+                self._errors[name] = exc
 
-    def take(self, stage: str, skipped=()):
-        """The stage's value; any error fails the run at ``stage``."""
-        if self.error is not None:
-            raise _StageFailed(stage, self.events, self.error, skipped=skipped)
-        return self.value
+    def take(self, name: str):
+        """The stage's value; its error fails the run at ``name``."""
+        if name in self._errors:
+            self.fail(name, self._errors[name])
+        return self._values[name]
 
+    def close(self, name: str, outcome: str = OUTCOME_OK, diagnostics=()) -> None:
+        self.traces.append(StageTrace(
+            stage=name,
+            interactions=self.events.pop(name),
+            diagnostics_fed_back=[str(d) for d in diagnostics],
+            outcome=outcome,
+        ))
 
-def _run_layer(gateway: Gateway, runs) -> None:
-    """Run one layer's independent stage tasks and wait for every one.
-    Tasks 2..N go to the gateway's pool and the first runs on the calling
-    thread, which would otherwise sit idle until the layer joins. Tasks
-    never fan out again, so the bounded pool cannot deadlock on them."""
-    futures = [gateway.submit(run) for run in runs[1:]]
-    runs[0]()
-    for future in futures:
-        future.result()
+    def fail(self, name: str, error: Exception, diagnostics=()):
+        """Trace ``name`` failed and every other issued, unclosed stage
+        skipped, then raise _StageFailed."""
+        message = f"{name}: {_failure_message(name, error)}"
+        self.close(name, OUTCOME_FAILED, diagnostics)
+        for skipped in list(self.events):
+            self.close(skipped, OUTCOME_SKIPPED)
+        raise _StageFailed(message, diagnostics) from error
 
 
 # --- stages -------------------------------------------------------------------
@@ -469,26 +488,26 @@ def _fixed_examples() -> tuple[str, ...]:
 _EMPTY_SECTION = Diagnostic(ERROR, "empty section (no conforming code lines)", 1, 1, "")
 
 
-def _failure_validity(diagnostics) -> ValidityReport:
-    return ValidityReport(False, False, False, list(diagnostics))
-
-
-def _failed_run(report, strategy, recorder, exc: _StageFailed, start, repairs) -> RunResult:
-    """The failed RunResult of a run that ``exc`` stopped: the failing
-    stage's trace, then its issued but unused siblings as skipped."""
-    recorder.close(exc.stage, exc.events, OUTCOME_FAILED, exc.diagnostics)
-    for stage, run in exc.skipped:
-        recorder.close(stage, run.events, OUTCOME_SKIPPED)
+def _run_stages(report, strategy: str, gateway: Gateway, steps, *args) -> RunResult:
+    """One report's RunResult: ``steps(stages, *args)`` returns the
+    program, its validity and the failure when it is invalid, or a stage
+    fails the run and the result names that stage."""
+    stages = _Stages(gateway)
+    start = time.perf_counter()
+    try:
+        program, validity, failure = steps(stages, *args)
+    except _StageFailed as exc:
+        program, failure = None, str(exc)
+        validity = ValidityReport(False, False, False, exc.diagnostics)
     return RunResult(
         report_id=report.id,
         strategy=strategy,
-        final_program=None,
-        validity=_failure_validity(exc.diagnostics),
-        traces=recorder.traces,
+        final_program=program,
+        validity=validity,
+        traces=stages.traces,
         wall_seconds=time.perf_counter() - start,
-        success=False,
-        failure=f"{exc.stage}: {exc}",
-        repairs=repairs,
+        success=validity.valid,
+        failure=failure,
     )
 
 
@@ -504,73 +523,46 @@ def run_pipeline(
     in a stage, section compile or repair, or finalize produces a failed
     RunResult naming the stage; nothing escapes.
     """
-    recorder = _TraceRecorder()
-    repairs = {kind: 0 for kind in SECTION_KINDS}
-    repairs["program"] = 0
-    start = time.perf_counter()
     log.debug("pipeline start: report=%s strategy=%s", report.id, config.strategy)
-    try:
-        program, validity = _compose(
-            report, config, gateway, retrieval or RetrievalSetup(), recorder, repairs
-        )
-    except _StageFailed as exc:
-        return _failed_run(report, COMPOSITIONAL, recorder, exc, start, repairs)
-    success = validity.valid
-    return RunResult(
-        report_id=report.id,
-        strategy=COMPOSITIONAL,
-        final_program=program,
-        validity=validity,
-        traces=recorder.traces,
-        wall_seconds=time.perf_counter() - start,
-        success=success,
-        failure=None if success else "finalize: program failed the validity check",
-        repairs=repairs,
+    return _run_stages(
+        report, COMPOSITIONAL, gateway, _compose, report, config,
+        retrieval or RetrievalSetup(),
     )
 
 
-def _compose(report, config, gateway, retrieval, recorder, repairs):
+def _compose(stages: _Stages, report, config, retrieval):
     """The four layers of model calls, then section compile and repair,
-    then finalize. Returns (program, validity) and fills ``repairs``; a
-    stage failure raises _StageFailed."""
+    then finalize: (program, validity, failure)."""
+    gateway = stages.gateway
     factory = PromptFactory(config.model_id)
 
-    # layer 1: objects | HyDE draft; the draft's trace follows answers
-    objects_run = _StageRun(stage_objects, report, gateway, factory)
-    draft_run = None
+    # layer 1: objects | HyDE draft; a failed draft fails the run here,
+    # but the draft's trace closes after answers
+    draft = ()
     if _has_store(retrieval):
-        draft_run = _StageRun(
-            _retrieve_examples, report, config, gateway, factory, retrieval
-        )
-    drafts = [("retrieve", draft_run)] if draft_run else []
-    _run_layer(gateway, [objects_run] + [run for _, run in drafts])
-    objects = objects_run.take("objects", drafts)
-    recorder.close("objects", objects_run.events)
-    examples = draft_run.take("retrieve") if draft_run else []
+        draft = (("retrieve", _retrieve_examples, report, config, gateway, factory, retrieval),)
+    stages.layer(("objects", stage_objects, report, gateway, factory), *draft)
+    objects = stages.take("objects")
+    stages.close("objects")
+    examples = stages.take("retrieve") if draft else []
 
     # layers 2 and 3: questions, then answers
-    run = _StageRun(stage_questions, report, objects, gateway, factory)
-    _run_layer(gateway, [run])
-    questions = run.take("questions", drafts)
-    recorder.close("questions", run.events)
-
-    run = _StageRun(stage_answers, report, questions, gateway, factory)
-    _run_layer(gateway, [run])
-    answers = run.take("answers", drafts)
-    recorder.close("answers", run.events)
-    if draft_run:
-        recorder.close("retrieve", draft_run.events)
+    stages.layer(("questions", stage_questions, report, objects, gateway, factory))
+    questions = stages.take("questions")
+    stages.close("questions")
+    stages.layer(("answers", stage_answers, report, questions, gateway, factory))
+    answers = stages.take("answers")
+    stages.close("answers")
+    if draft:
+        stages.close("retrieve")
 
     # layer 4: every section generation at once
     answers_block = render_answers(answers)
-    sections = [
-        (f"section:{kind}", _StageRun(
-            stage_section, kind, report, objects, answers_block, examples,
-            gateway, factory,
-        ))
+    stages.layer(*(
+        (f"section:{kind}", stage_section, kind, report, objects, answers_block,
+         examples, gateway, factory)
         for kind in SECTION_KINDS
-    ]
-    _run_layer(gateway, [run for _, run in sections])
+    ))
 
     # compile and repair in canonical order: a section sees the names and
     # behaviors of the sections before it
@@ -578,9 +570,9 @@ def _compose(report, config, gateway, retrieval, recorder, repairs):
     program_statements: list = []
     env: set[str] = set()
     behaviors_map: dict = {}
-    for index, (kind, (stage, run)) in enumerate(zip(SECTION_KINDS, sections)):
-        later = sections[index + 1:]
-        text = run.take(stage, later)
+    for kind in SECTION_KINDS:
+        stage = f"section:{kind}"
+        text = stages.take(stage)
         statements, diags, count = None, [_EMPTY_SECTION], 0
         try:
             if text.strip():
@@ -589,48 +581,42 @@ def _compose(report, config, gateway, retrieval, recorder, repairs):
                     section_first_line(texts, kind, text),
                 )
             if statements is None or has_errors(diags):
-                with recording(run.events):
+                with recording(stages.events[stage]):
                     text, statements, count = repair_section(
                         kind, text, diags, gateway, factory,
                         config.section_retry_budget, config.registry, env,
                         behaviors_map, report.id, texts,
                     )
         except (RepairExhausted, GatewayError) as exc:
-            repairs[kind] = config.section_retry_budget
-            raise _StageFailed(stage, run.events, exc, getattr(exc, "diagnostics", diags), later)
+            stages.fail(stage, exc, getattr(exc, "diagnostics", diags))
         except Exception as exc:
-            raise _StageFailed(stage, run.events, exc, (), later)
+            stages.fail(stage, exc)
         texts[kind] = text
         program_statements.extend(statements)
-        repairs[kind] = count
         env |= section_names(statements)
         if kind == "behaviors":
             behaviors_map = section_behaviors(statements)
-        recorder.close(
-            stage, run.events, OUTCOME_REPAIRED if count else OUTCOME_OK,
+        stages.close(
+            stage, OUTCOME_REPAIRED if count else OUTCOME_OK,
             [d.message for d in diags] if count else (),
         )
 
-    events: list = []
-    with recording(events):
-        try:
-            program, validity, program_repairs = finalize(
-                texts, program_statements, config, gateway, factory, report.id
-            )
-        except Exception as exc:
-            raise _StageFailed("finalize", events, exc) from exc
-    repairs["program"] = program_repairs
+    stages.layer((
+        "finalize", finalize, texts, program_statements, config, gateway, factory,
+        report.id,
+    ))
+    program, validity, program_repairs = stages.take("finalize")
     if not validity.valid:
         finalize_outcome = OUTCOME_FAILED
     elif program_repairs:
         finalize_outcome = OUTCOME_REPAIRED
     else:
         finalize_outcome = OUTCOME_OK
-    recorder.close(
-        "finalize", events, finalize_outcome,
-        [d.message for d in validity.diagnostics],
+    stages.close(
+        "finalize", finalize_outcome, [d.message for d in validity.diagnostics]
     )
-    return program, validity
+    failure = None if validity.valid else "finalize: program failed the validity check"
+    return program, validity, failure
 
 
 def run_baseline(
@@ -645,45 +631,36 @@ def run_baseline(
     Any exception gives a failed RunResult naming the stage."""
     if strategy not in BASELINE_STRATEGIES:
         raise ValueError(f"unknown baseline strategy {strategy!r}")
-    factory = PromptFactory(config.model_id)
-    recorder = _TraceRecorder()
-    start = time.perf_counter()
+    return _run_stages(
+        report, strategy, gateway, _baseline, strategy, report, config,
+        retrieval or RetrievalSetup(),
+    )
+
+
+def _baseline(stages: _Stages, strategy, report, config, retrieval):
+    gateway, factory = stages.gateway, PromptFactory(config.model_id)
     if strategy == "constrained":
-        stages = [
-            (f"section:{kind}", _StageRun(_baseline_section, kind, report, gateway, factory))
+        layer = [
+            (f"section:{kind}", _baseline_section, kind, report, gateway, factory)
             for kind in SECTION_KINDS
         ]
     else:
-        stages = [(strategy, _StageRun(
-            _one_shot, strategy, report, config, gateway, factory,
-            retrieval or RetrievalSetup(),
-        ))]
-    try:
-        _run_layer(gateway, [run for _, run in stages])
-        texts = []
-        for index, (stage, run) in enumerate(stages):
-            texts.append(run.take(stage, stages[index + 1:]))
-            recorder.close(stage, run.events)
-        if strategy == "constrained":
-            program = stitch(dict(zip(SECTION_KINDS, texts)))
-        else:
-            (program,) = texts
-        try:
-            validity = check_validity(program, config.registry, config.network, config.seed)
-        except Exception as exc:
-            raise _StageFailed("validity", [], exc) from exc
-    except _StageFailed as exc:
-        return _failed_run(report, strategy, recorder, exc, start, {})
-    return RunResult(
-        report_id=report.id,
-        strategy=strategy,
-        final_program=program,
-        validity=validity,
-        traces=recorder.traces,
-        wall_seconds=time.perf_counter() - start,
-        success=validity.valid,
-        failure=None if validity.valid else "program failed the validity check",
+        layer = [(strategy, _one_shot, strategy, report, config, gateway, factory, retrieval)]
+    stages.layer(*layer)
+    texts = []
+    for name, *_ in layer:
+        texts.append(stages.take(name))
+        stages.close(name)
+    if strategy == "constrained":
+        program = stitch(dict(zip(SECTION_KINDS, texts)))
+    else:
+        (program,) = texts
+    # traced only when it fails, so it is never closed
+    stages.layer(
+        ("validity", check_validity, program, config.registry, config.network, config.seed)
     )
+    validity = stages.take("validity")
+    return program, validity, None if validity.valid else "program failed the validity check"
 
 
 def _one_shot(strategy, report, config, gateway, factory, retrieval) -> str:

@@ -11,7 +11,10 @@ import threading
 import time
 from pathlib import Path
 
+from scenforge.bundled import example_program_paths
 from scenforge.gateway import PlaybackBackend
+from scenforge.pipeline import RetrievalSetup
+from scenforge.retrieval import LocalHashEmbedder, VectorStore
 from scenforge.scenic import TokenKind, tokenize
 
 # --- canned report ---------------------------------------------------------
@@ -180,6 +183,15 @@ def write_transcript(path, transcript: dict) -> Path:
         json.dumps({"by_stage": transcript, "by_digest": {}}), encoding="utf-8"
     )
     return path
+
+
+def bundled_store() -> RetrievalSetup:
+    """A retrieval store over the bundled example programs."""
+    embedder = LocalHashEmbedder()
+    store = VectorStore(embedder.dimension)
+    for path in example_program_paths():
+        store.upsert(path.stem, path.read_text(encoding="utf-8"), embedder)
+    return RetrievalSetup(store=store, embedder=embedder)
 
 
 # --- scripted backends -----------------------------------------------------------

@@ -10,17 +10,16 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from scenforge import cli, pipeline
-from scenforge.bundled import example_program_paths
 from scenforge.errors import BackendUnavailable
 from scenforge.gateway import Gateway, MemoryCache, PromptRequest, recording
-from scenforge.pipeline import PipelineConfig, RetrievalSetup, run_baseline, run_pipeline
+from scenforge.pipeline import PipelineConfig, run_baseline, run_pipeline
 from scenforge.prompts import PromptFactory, section_constraint
 from scenforge.reports import AgentMention, ReportRecord, load_report
-from scenforge.retrieval import LocalHashEmbedder, VectorStore
 from scenforge.scenic import SECTION_KINDS
 from support import (
     BICYCLE_NARRATIVE,
     SleepingBackend,
+    bundled_store,
     happy_reply,
     happy_transcript,
     playback,
@@ -31,14 +30,6 @@ from support import (
 
 REMOTE_DELAY = 0.03
 TIMEOUT = 60  # seconds any test waits on its workers
-
-
-def bundled_store() -> RetrievalSetup:
-    embedder = LocalHashEmbedder()
-    store = VectorStore(embedder.dimension)
-    for path in example_program_paths():
-        store.upsert(path.stem, path.read_text(encoding="utf-8"), embedder)
-    return RetrievalSetup(store=store, embedder=embedder)
 
 
 # --- one run: four joined layers --------------------------------------------------
@@ -87,6 +78,43 @@ def test_the_caller_runs_one_stage_of_each_layer(tmp_path, config, monkeypatch,
     assert on_caller == {"stage_objects", "stage_questions", "stage_answers", "constants"}
     pooled = {"behaviors", "spatial"} | ({"_retrieve_examples"} if with_store else set())
     assert set(ran_on) - on_caller == pooled
+
+
+def test_a_wide_layer_keeps_every_stage_value_error_and_call():
+    # pool threads store stage values, errors and calls in the run's one
+    # executor; a lost update would drop one of them
+    gateway = Gateway(SleepingBackend(lambda request: request.stage_tag, 0.0), cache=MemoryCache())
+    names = [f"s{i}" for i in range(12)]
+    failing = ("s3", "s7")
+
+    def stage(name):
+        text = gateway.complete(PromptRequest.single("m", "system", name, f"r/{name}")).text
+        if name in failing:
+            raise RuntimeError(text)
+        return text
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # switch threads often, so races show
+    try:
+        for _ in range(20):
+            stages = pipeline._Stages(gateway)
+            stages.layer(*[(name, stage, name) for name in names])
+            passing = [name for name in names if name not in failing]
+            for name in passing:
+                assert stages.take(name) == f"r/{name}"
+                stages.close(name)
+            with pytest.raises(pipeline._StageFailed, match="^s3: RuntimeError: r/s3$"):
+                stages.take("s3")
+            assert [(t.stage, t.outcome) for t in stages.traces] == (
+                [(name, "ok") for name in passing] + [("s3", "failed"), ("s7", "skipped")]
+            )
+            assert all(
+                [i.stage_tag for i in t.interactions] == [f"r/{t.stage}"]
+                for t in stages.traces
+            )
+    finally:
+        sys.setswitchinterval(interval)
+        gateway.close()
 
 
 def test_constrained_baseline_waits_on_one_round_trip(tmp_path, config):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from scenforge.errors import MarkerMissing, RepairExhausted
+from scenforge.errors import BackendUnavailable, MarkerMissing, RepairExhausted
 from scenforge.gateway import Gateway, MemoryCache, PlaybackBackend
 from scenforge.pipeline import (
     BASELINE_STRATEGIES,
@@ -725,17 +725,43 @@ def test_run_report_reprompts_a_non_finite_answer(report, config):
 
 bench_cases = bench_module("cases")
 
-# stage tag -> the stage the failed run names
+# the traces of a run whose first four stages succeed
+_UP_TO_SECTIONS = [
+    ("objects", "ok"), ("questions", "ok"), ("answers", "ok"), ("retrieve", "ok"),
+]
+
+# stage tag -> the stage the failed run names, the run's (stage, outcome)
+# traces, and the backend calls made, the faulting call included
 FAULT_STAGES = {
-    "objects": "objects",
-    "hyde_draft": "retrieve",
-    "questions": "questions",
-    "answers": "answers",
-    "section:constants": "section:constants",
-    "section:behaviors": "section:behaviors",
-    "section:spatial": "section:spatial",
-    "repair:constants": "section:constants",
-    "repair:program": "finalize",
+    "objects": ("objects", [("objects", "failed"), ("retrieve", "skipped")], 2),
+    "hyde_draft": ("retrieve", [("objects", "ok"), ("retrieve", "failed")], 2),
+    "questions": ("questions", [
+        ("objects", "ok"), ("questions", "failed"), ("retrieve", "skipped"),
+    ], 3),
+    "answers": ("answers", [
+        ("objects", "ok"), ("questions", "ok"), ("answers", "failed"),
+        ("retrieve", "skipped"),
+    ], 4),
+    "section:constants": ("section:constants", _UP_TO_SECTIONS + [
+        ("section:constants", "failed"), ("section:behaviors", "skipped"),
+        ("section:spatial", "skipped"),
+    ], 7),
+    "section:behaviors": ("section:behaviors", _UP_TO_SECTIONS + [
+        ("section:constants", "repaired"), ("section:behaviors", "failed"),
+        ("section:spatial", "skipped"),
+    ], 8),
+    "section:spatial": ("section:spatial", _UP_TO_SECTIONS + [
+        ("section:constants", "repaired"), ("section:behaviors", "ok"),
+        ("section:spatial", "failed"),
+    ], 8),
+    "repair:constants": ("section:constants", _UP_TO_SECTIONS + [
+        ("section:constants", "failed"), ("section:behaviors", "skipped"),
+        ("section:spatial", "skipped"),
+    ], 8),
+    "repair:program": ("finalize", _UP_TO_SECTIONS + [
+        ("section:constants", "repaired"), ("section:behaviors", "ok"),
+        ("section:spatial", "ok"), ("finalize", "failed"),
+    ], 9),
 }
 
 
@@ -759,15 +785,49 @@ def _store() -> RetrievalSetup:
 @pytest.mark.parametrize("tag", list(FAULT_STAGES))
 def test_a_backend_fault_at_any_stage_fails_the_run_at_that_stage(tag, config):
     case = bench_cases.make_case(1, 0, shape=(1, 1))  # a section and a program repair
-    gateway = gateway_for(_faulty_backend(case, tag))
+    backend = _faulty_backend(case, tag)
+    gateway = gateway_for(backend)
     try:
         result = run_report(case.report, config, gateway, _store())
     finally:
         gateway.close()
+    stage, traces, calls = FAULT_STAGES[tag]
     assert not result.success
     assert result.final_program is None
-    assert result.failure == f"{FAULT_STAGES[tag]}: RuntimeError: fault at {tag}"
-    assert [t.outcome for t in result.traces if t.stage == FAULT_STAGES[tag]] == ["failed"]
+    assert result.failure == f"{stage}: RuntimeError: fault at {tag}"
+    assert [(t.stage, t.outcome) for t in result.traces] == traces
+    assert backend.call_count == calls
+
+
+@pytest.mark.parametrize("error", [BackendUnavailable, RuntimeError])
+@pytest.mark.parametrize("fault_at", [1, 2])
+def test_repairs_count_the_repair_replies_in_the_traces(config, error, fault_at):
+    case = bench_cases.make_case(1, 0, shape=(1, 0))  # one constants repair
+    attempts = []
+
+    def respond(request):
+        tag = request.stage_tag.rpartition("/")[2]
+        if tag == "repair:constants":
+            attempts.append(tag)
+            if len(attempts) == fault_at:
+                raise error("repair broke")
+            return case.replies["section:constants"]  # still broken
+        return case.replies[tag]
+
+    gateway = gateway_for(CallableBackend(respond))
+    try:
+        result = run_report(case.report, config, gateway, _store())
+    finally:
+        gateway.close()
+    assert result.failure.startswith("section:constants: ")
+    # a call that raised sent no reply, so only the earlier attempts count
+    assert result.repairs == {
+        "constants": fault_at - 1, "behaviors": 0, "spatial": 0, "program": 0,
+    }
+    trace = next(t for t in result.traces if t.stage == "section:constants")
+    assert [i.stage_tag for i in trace.interactions] == (
+        ["r000000/section:constants"] + ["r000000/repair:constants"] * (fault_at - 1)
+    )
 
 
 @pytest.mark.parametrize(
