@@ -1,5 +1,8 @@
 """Symbolic probability distributions and their sampling.
 
+A spec is a constructor name and its arguments; the constructors and
+their rules live in ``scenic.ast`` (DISTRIBUTIONS, distribution_errors).
+
 Truncated normals are drawn by rejection against the parent normal,
 capped at 10,000 inner draws, with an inverse-CDF fallback (rational
 approximation) so sampling stays exact-in-distribution and bounded in
@@ -14,83 +17,70 @@ from dataclasses import dataclass
 
 from .scenic import ast as _ast
 
-NORMAL = "normal"
-TRUNCATED_NORMAL = "truncated_normal"
-UNIFORM_CHOICE = "uniform_choice"
-RANGE = "range"
-
 _TRUNC_REJECTION_CAP = 10_000
 
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    """One symbolic distribution; parameters depend on ``kind``."""
+    """One symbolic distribution, made by the checked constructor ``of``."""
 
-    kind: str
-    mu: float | None = None
-    sigma: float | None = None
-    low: float | None = None
-    high: float | None = None
-    options: tuple = ()
+    name: str
+    args: tuple
+
+    @classmethod
+    def of(cls, name: str, args) -> "DistributionSpec":
+        """Raises ValueError with the first rule broken; numbers become floats."""
+        args = tuple(args)
+        errors = _ast.distribution_errors(name, args)
+        if errors:
+            raise ValueError(errors[0])
+        if _ast.DISTRIBUTIONS[name]:
+            args = tuple(map(float, args))
+        return cls(name, args)
 
     @classmethod
     def normal(cls, mu: float, sigma: float) -> "DistributionSpec":
-        if sigma <= 0:
-            raise ValueError("standard deviation must be positive")
-        return cls(NORMAL, mu=float(mu), sigma=float(sigma))
+        return cls.of("Normal", (mu, sigma))
 
     @classmethod
-    def truncated_normal(
-        cls, mu: float, sigma: float, low: float, high: float
-    ) -> "DistributionSpec":
-        if sigma <= 0:
-            raise ValueError("standard deviation must be positive")
-        if low >= high:
-            raise ValueError("truncation bounds inverted (low must be less than high)")
-        return cls(
-            TRUNCATED_NORMAL,
-            mu=float(mu), sigma=float(sigma), low=float(low), high=float(high),
-        )
+    def truncated_normal(cls, mu: float, sigma: float, low: float, high: float) -> "DistributionSpec":
+        return cls.of("TruncatedNormal", (mu, sigma, low, high))
 
     @classmethod
     def uniform_choice(cls, options) -> "DistributionSpec":
-        options = tuple(options)
-        if not options:
-            raise ValueError("uniform choice requires at least one option")
-        return cls(UNIFORM_CHOICE, options=options)
+        return cls.of("Uniform", options)
 
     @classmethod
     def uniform_range(cls, low: float, high: float) -> "DistributionSpec":
-        if low > high:
-            raise ValueError("range bounds inverted (low must not exceed high)")
-        return cls(RANGE, low=float(low), high=float(high))
+        return cls.of("Range", (low, high))
 
 
 def sample_value(spec: DistributionSpec, rng: random.Random):
     """Draw one concrete value from a distribution spec."""
-    if spec.kind == NORMAL:
-        return rng.gauss(spec.mu, spec.sigma)
-    if spec.kind == TRUNCATED_NORMAL:
-        return _sample_truncated(spec, rng)
-    if spec.kind == UNIFORM_CHOICE:
-        return spec.options[rng.randrange(len(spec.options))]
-    if spec.kind == RANGE:
-        return rng.uniform(spec.low, spec.high)
-    raise ValueError(f"unknown distribution kind: {spec.kind!r}")
+    name, args = spec.name, spec.args
+    if name == "Normal":
+        return rng.gauss(*args)
+    if name == "TruncatedNormal":
+        return _sample_truncated(*args, rng)
+    if name == "Uniform":
+        return args[rng.randrange(len(args))]
+    if name == "Range":
+        return rng.uniform(*args)
+    raise ValueError(f"unknown distribution: {name!r}")
 
 
-def _sample_truncated(spec: DistributionSpec, rng: random.Random) -> float:
+def _sample_truncated(mu: float, sigma: float, low: float, high: float, rng) -> float:
     for _ in range(_TRUNC_REJECTION_CAP):
-        x = rng.gauss(spec.mu, spec.sigma)
-        if spec.low <= x <= spec.high:
+        x = rng.gauss(mu, sigma)
+        if low <= x <= high:
             return x
     # the acceptance region is so small rejection never landed; invert the
     # CDF restricted to [low, high]
-    a = _normal_cdf((spec.low - spec.mu) / spec.sigma)
-    b = _normal_cdf((spec.high - spec.mu) / spec.sigma)
+    a = _normal_cdf((low - mu) / sigma)
+    b = _normal_cdf((high - mu) / sigma)
     u = rng.uniform(a, b)
-    x = spec.mu + spec.sigma * _inverse_normal_cdf(u)
-    return min(max(x, spec.low), spec.high)
+    x = mu + sigma * _inverse_normal_cdf(u)
+    return min(max(x, low), high)
 
 
 def _normal_cdf(z: float) -> float:
@@ -148,19 +138,8 @@ def distribution_to_source(spec: DistributionSpec) -> str:
     def num(x: float) -> str:
         return str(int(x)) if float(x).is_integer() else repr(x)
 
-    if spec.kind == NORMAL:
-        return f"Normal({num(spec.mu)}, {num(spec.sigma)})"
-    if spec.kind == TRUNCATED_NORMAL:
-        return (
-            f"TruncatedNormal({num(spec.mu)}, {num(spec.sigma)}, "
-            f"{num(spec.low)}, {num(spec.high)})"
-        )
-    if spec.kind == RANGE:
-        return f"Range({num(spec.low)}, {num(spec.high)})"
-    options = ", ".join(
-        repr(o) if isinstance(o, str) else num(o) for o in spec.options
-    )
-    return f"Uniform({options})"
+    args = ", ".join(repr(a) if isinstance(a, str) else num(a) for a in spec.args)
+    return f"{spec.name}({args})"
 
 
 def distribution_from_expr(expr) -> DistributionSpec | None:
@@ -175,22 +154,14 @@ def distribution_from_expr(expr) -> DistributionSpec | None:
     name = expr.func.id
     if name not in _ast.DIST_FUNCTIONS or expr.kwargs:
         return None
+    fold = _ast.fold_number if _ast.DISTRIBUTIONS[name] else _literal_value
+    values = [fold(arg) for arg in expr.args]
+    if None in values:
+        return None
     try:
-        if name == "Uniform":
-            options = [_literal_value(arg) for arg in expr.args]
-            return None if None in options else DistributionSpec.uniform_choice(options)
-        numbers = [_ast.fold_number(arg) for arg in expr.args]
-        if None in numbers:
-            return None
-        if name == "Normal" and len(numbers) == 2:
-            return DistributionSpec.normal(*numbers)
-        if name == "TruncatedNormal" and len(numbers) == 4:
-            return DistributionSpec.truncated_normal(*numbers)
-        if name == "Range" and len(numbers) == 2:
-            return DistributionSpec.uniform_range(*numbers)
+        return DistributionSpec.of(name, values)
     except ValueError:
         return None
-    return None
 
 
 def _literal_value(node):

@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass
 
 from .gateway import ConstraintSpec, PromptRequest
+from .scenic.ast import DIST_FUNCTIONS
 
 FINAL_ANSWER_MARKER = "FINAL ANSWER:"
 
@@ -58,7 +59,7 @@ QUESTION_FACETS = ("speed", "placement", "type")
 _NUMBERED_ITEM = re.compile(r"^\s*(?:\d+[.)]|[-*])\s+(.*\S)\s*$")
 _ASSIGNMENT_LINE = re.compile(r"^\s*([A-Za-z_]\w*)\s*=\s*(\S.*?)\s*$")
 _DIRECT_LINE = re.compile(r"^\s*([^:=]{1,60}?)\s*:\s*(\S.*?)\s*$")
-_DISTRIBUTION_HINT = re.compile(r"\b(?:Normal|TruncatedNormal|Uniform|Range)\s*\(")
+_DISTRIBUTION_HINT = re.compile(rf"\b(?:{'|'.join(sorted(DIST_FUNCTIONS))})\s*\(")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ extrapolating past either end along the terminal segment.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -306,6 +307,13 @@ class _Rejected(Exception):
     """A require statement evaluated falsy; resample."""
 
 
+def _distribution(name: str, *args) -> DistributionSpec:
+    try:
+        return DistributionSpec.of(name, args)
+    except (TypeError, ValueError) as exc:
+        raise SceneEvaluationError(f"{name}: {exc}") from exc
+
+
 # --- the evaluator ------------------------------------------------------------
 
 
@@ -327,21 +335,8 @@ class _SceneEvaluator:
         env["simulation_time"] = 0.0
         env["filter"] = lambda fn, items: [x for x in items if fn(x)]
         env["distance"] = self._distance
-        env["Uniform"] = lambda *options: DistributionSpec.uniform_choice(options)
-        env["Normal"] = self._dist_factory(DistributionSpec.normal, "Normal")
-        env["TruncatedNormal"] = self._dist_factory(
-            DistributionSpec.truncated_normal, "TruncatedNormal"
-        )
-        env["Range"] = self._dist_factory(DistributionSpec.uniform_range, "Range")
-
-    @staticmethod
-    def _dist_factory(ctor, name):
-        def build(*args):
-            try:
-                return ctor(*args)
-            except (TypeError, ValueError) as exc:
-                raise SceneEvaluationError(f"{name}: {exc}") from exc
-        return build
+        for name in ast.DIST_FUNCTIONS:
+            env[name] = functools.partial(_distribution, name)
 
     @staticmethod
     def _distance(a, b) -> float:

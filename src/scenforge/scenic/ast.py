@@ -11,6 +11,9 @@ declarations, behavior definitions, and spatial (scene) statements.
 Whether a top-level assignment is a constant is decided purely from the
 shape of its right-hand side (program_of, is_constant_expr), never from
 declaration context, which keeps the grouping stable under reformatting.
+
+The distribution constructors are defined here once, for the validator,
+specs and scene alike: DISTRIBUTIONS and their rules, distribution_errors.
 """
 
 from __future__ import annotations
@@ -20,8 +23,14 @@ import operator
 from dataclasses import dataclass, field
 from typing import Union
 
-# Distribution constructors recognised by the grammar.
-DIST_FUNCTIONS = frozenset({"Normal", "TruncatedNormal", "Uniform", "Range"})
+# Distribution constructors and their parameters; Uniform takes one or more options.
+DISTRIBUTIONS = {
+    "Normal": ("mean", "stddev"),
+    "TruncatedNormal": ("mean", "stddev", "low", "high"),
+    "Range": ("low", "high"),
+    "Uniform": None,
+}
+DIST_FUNCTIONS = frozenset(DISTRIBUTIONS)
 
 SECTION_KINDS = ("constants", "behaviors", "spatial")
 
@@ -324,6 +333,26 @@ def is_constant_expr(expr: Expr) -> bool:
             )
         )
     return False
+
+
+def distribution_errors(name: str, values) -> list[str]:
+    """The message of every rule that the positional ``values`` of constructor
+    ``name`` break, in order; a None value is not known, and breaks no rule."""
+    params = DISTRIBUTIONS[name]
+    if params is None:
+        return [] if values else [f"{name} requires at least one option"]
+    if len(values) != len(params):
+        return [f"{name} expects {len(params)} arguments ({', '.join(params)})"]
+    errors = []
+    if name != "Range" and values[1] is not None and values[1] <= 0:
+        errors.append("standard deviation must be positive")
+    low, high = values[-2:]
+    known = low is not None and high is not None
+    if name == "Range" and known and low > high:
+        errors.append("range bounds inverted (low must not exceed high)")
+    if name == "TruncatedNormal" and known and low >= high:
+        errors.append("truncation bounds inverted (low must be less than high)")
+    return errors
 
 
 def fold_number(expr: Expr, names: dict | None = None, _depth: int = 0) -> float | None:

@@ -23,8 +23,8 @@ interpreter's recursion limit, also on a worker thread. Past the limit,
 the token that crossed it gets one diagnostic.
 
 The parser never raises on bad input. Errors are collected as
-diagnostics; recovery skips to the next statement boundary at
-indentation level zero so several errors can be reported per compile.
+diagnostics; recovery skips past any open block to the next top-level
+statement, so a compile reports each broken statement once.
 
 Section parsing (parse_section) enforces which statement forms are
 legal in each of the three program sections:
@@ -114,6 +114,7 @@ class _Parser:
         self.diagnostics: list[Diagnostic] = []
         self.depth = 0  # open brackets, prefix operators, lambdas and interrupt blocks
         self.height = 0  # levels in the expression parsed last
+        self.blocks = 0  # indented blocks open around the current token
 
     # -- token access -------------------------------------------------
 
@@ -167,15 +168,18 @@ class _Parser:
             self.diagnostics.append(err.diagnostic)
 
     def synchronize(self) -> None:
-        """Skip to the next statement boundary at indent level zero."""
-        depth = 0
+        """Skip past the end of the line and the blocks open around it."""
+        depth, self.blocks = self.blocks, 0
+        line_ended = False
         while not self.check(TokenKind.EOF):
             tok = self.advance()
             if tok.kind is TokenKind.INDENT:
                 depth += 1
             elif tok.kind is TokenKind.DEDENT:
                 depth = max(0, depth - 1)
-            elif tok.kind is TokenKind.NEWLINE and depth == 0:
+            elif tok.kind is TokenKind.NEWLINE:
+                line_ended = True
+            if line_ended and depth == 0:
                 return
 
     # -- statements -----------------------------------------------------
@@ -259,12 +263,14 @@ class _Parser:
         while self.match(TokenKind.NEWLINE):
             pass
         self.expect(TokenKind.INDENT, what="an indented block")
+        self.blocks += 1
         body = []
         while not self.check(TokenKind.DEDENT) and not self.check(TokenKind.EOF):
             if self.match(TokenKind.NEWLINE):
                 continue
             body.append(self.behavior_stmt())
         self.match(TokenKind.DEDENT)
+        self.blocks -= 1
         if not body:
             raise self.fail("behavior body must contain at least one statement")
         return body

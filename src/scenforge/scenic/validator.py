@@ -1,5 +1,6 @@
 """Static checks on parsed programs: name resolution, distribution
-parameters, registry membership, and the single-ego rule.
+parameters (``ast.distribution_errors`` over the arguments that fold),
+registry membership, and the single-ego rule.
 
 Validation exceeds what the real target language enforces at compile
 time, on purpose: every extra diagnostic caught here is one the repair
@@ -19,9 +20,7 @@ from . import ast
 from .diagnostics import ERROR, Diagnostic
 
 BUILTIN_VALUES = frozenset({"network", "roadDirection", "road", "simulation_time"})
-BUILTIN_FUNCTIONS = frozenset(
-    {"filter", "Uniform", "Normal", "TruncatedNormal", "Range", "distance"}
-)
+BUILTIN_FUNCTIONS = frozenset({"filter", "distance"}) | ast.DIST_FUNCTIONS
 BUILTIN_ACTIONS = frozenset(
     {
         "SetBrakeAction", "SetThrottleAction", "SetSpeedAction",
@@ -146,39 +145,12 @@ class _Checker:
         if not isinstance(node.func, ast.Name) or node.func.id not in ast.DIST_FUNCTIONS:
             return
         name = node.func.id
-        args = node.args
-        has_star = any(isinstance(a, ast.Starred) for a in args)
-        if name == "Uniform":
-            if not args:
-                self.error("Uniform requires at least one option", node)
-            return
-        if has_star or node.kwargs:
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        if ast.DISTRIBUTIONS[name] and (starred or node.kwargs):
             self.error(f"{name} takes positional numeric arguments only", node)
-            return
-        if name == "Normal":
-            if len(args) != 2:
-                self.error("Normal expects 2 arguments (mean, stddev)", node)
-                return
-            sigma = self._fold(args[1])
-            if sigma is not None and sigma <= 0:
-                self.error("standard deviation must be positive", node)
-        elif name == "TruncatedNormal":
-            if len(args) != 4:
-                self.error("TruncatedNormal expects 4 arguments (mean, stddev, low, high)", node)
-                return
-            sigma = self._fold(args[1])
-            if sigma is not None and sigma <= 0:
-                self.error("standard deviation must be positive", node)
-            low, high = self._fold(args[2]), self._fold(args[3])
-            if low is not None and high is not None and low >= high:
-                self.error("truncation bounds inverted (low must be less than high)", node)
-        elif name == "Range":
-            if len(args) != 2:
-                self.error("Range expects 2 arguments (low, high)", node)
-                return
-            low, high = self._fold(args[0]), self._fold(args[1])
-            if low is not None and high is not None and low > high:
-                self.error("range bounds inverted (low must not exceed high)", node)
+        elif not starred:
+            for message in ast.distribution_errors(name, [self._fold(a) for a in node.args]):
+                self.error(message, node)
 
     # -- statement walking ---------------------------------------------
 

@@ -4,9 +4,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scenforge.bundled import bundled_map, bundled_registry
 from scenforge.distributions import (
     DistributionSpec,
     _inverse_normal_cdf,
@@ -15,7 +16,9 @@ from scenforge.distributions import (
     distribution_to_source,
     sample_value,
 )
-from scenforge.scenic import parse_section
+from scenforge.errors import SceneEvaluationError
+from scenforge.scene import check_validity, instantiate_scene
+from scenforge.scenic import ast, compile_section, parse_program, parse_section
 
 
 def test_range_degenerate_is_exact():
@@ -32,7 +35,7 @@ def test_uniform_choice_single_option():
 def test_uniform_choice_is_equiprobable():
     spec = DistributionSpec.uniform_choice(["a", "b", "c", "d"])
     rng = random.Random(5)
-    counts = {option: 0 for option in spec.options}
+    counts = {option: 0 for option in spec.args}
     n = 20_000
     for _ in range(n):
         counts[sample_value(spec, rng)] += 1
@@ -134,3 +137,76 @@ def test_sampling_is_deterministic_per_seed():
     a = [sample_value(spec, random.Random(42)) for _ in range(5)]
     b = [sample_value(spec, random.Random(42)) for _ in range(5)]
     assert a == b
+
+
+# --- runtime messages of constructors the validator cannot fold ----------------
+
+
+@pytest.mark.parametrize(
+    "constants, message",
+    [
+        ("X = Range(0, 0)\nN = Normal(1, X)\n",
+         "Normal: standard deviation must be positive"),
+        ("A = Range(5, 5)\nR = Range(A, 0)\n",
+         "Range: range bounds inverted (low must not exceed high)"),
+        ("A = Range(5, 5)\nT = TruncatedNormal(0, 1, A, A)\n",
+         "TruncatedNormal: truncation bounds inverted (low must be less than high)"),
+        ("X = Uniform('a')\nN = Normal(X, 1)\n",
+         "Normal: could not convert string to float: 'a'"),
+    ],
+    ids=["stddev", "range-bounds", "truncation-bounds", "not-a-number"],
+)
+def test_a_sampled_argument_breaks_a_rule_at_execution(constants, message):
+    source = constants + "ego = new Car at (0, 0)\n"
+    report = check_validity(source, bundled_registry(), bundled_map("cross4"), seed=0)
+    assert [(d.message, d.line, d.col) for d in report.diagnostics] == [
+        (f"execution failed: {message}", 1, 1)
+    ]
+
+
+# --- one rule, four readers ----------------------------------------------------
+
+NUMBERS = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@st.composite
+def distribution_calls(draw):
+    """A constructor name and 0-5 literal arguments; strings only for Uniform."""
+    name = draw(st.sampled_from(sorted(ast.DIST_FUNCTIONS)))
+    values = st.one_of(NUMBERS, st.text("abc", max_size=3)) if name == "Uniform" else NUMBERS
+    return name, draw(st.lists(values, max_size=5))
+
+
+@given(distribution_calls())
+@example(("Uniform", []))
+@example(("TruncatedNormal", [0.0, -1.0, 2.0, 1.0]))
+@settings(max_examples=300, deadline=None)
+def test_the_validator_specs_and_scene_apply_one_rule(call):
+    name, args = call
+    expr_source = f"{name}({', '.join(map(repr, args))})"
+    source = f"X = {expr_source}\n"
+    _, diagnostics = compile_section(source, "constants", bundled_registry())
+    messages = [d.message for d in diagnostics]
+    program = parse_program(source).program
+    try:
+        spec = DistributionSpec.of(name, args)
+    except ValueError as exc:
+        assert messages == ast.distribution_errors(name, args) and messages[0] == str(exc)
+        assert distribution_from_expr(_expr_of(expr_source)) is None
+        with pytest.raises(SceneEvaluationError) as raised:
+            instantiate_scene(program, bundled_map("cross4"), seed=0)
+        assert str(raised.value) == f"{name}: {exc}"
+    else:
+        assert messages == []
+        assert distribution_from_expr(_expr_of(expr_source)) == spec
+        instantiate_scene(program, bundled_map("cross4"), seed=0)
+
+
+def test_an_empty_starred_uniform_fails_at_execution_with_the_rule():
+    source = "L = []\nX = Uniform(*L)\nego = new Car at (0, 0)\n"
+    report = check_validity(source, bundled_registry(), bundled_map("cross4"), seed=0)
+    assert [(d.message, d.line, d.col) for d in report.diagnostics] == [
+        ("execution failed: Uniform: Uniform requires at least one option", 1, 1)
+    ]
+    with pytest.raises(ValueError, match="^Uniform requires at least one option$"):
+        DistributionSpec.uniform_choice([])

@@ -340,10 +340,8 @@ def test_interrupt_blocks_count_toward_the_limit():
     assert at_limit.ok
     assert parse_program(format_program(parse_program(nested_interrupts(_MAX_DEPTH - 1)).program)).ok
     past = parse_section(nested_interrupts(_MAX_DEPTH), "behaviors")
-    # recovery then resumes inside the open blocks, as after any error there
-    assert [(d.message, d.line) for d in past.diagnostics] == [
-        (TOO_DEEP, _MAX_DEPTH + 1), ("unexpected indent", _MAX_DEPTH + 2),
-    ]
+    # recovery then skips past the open blocks, as after any error there
+    assert [(d.message, d.line) for d in past.diagnostics] == [(TOO_DEEP, _MAX_DEPTH + 1)]
     # an expression inside nested blocks has the remaining levels only
     deepest = nested_interrupts(_MAX_DEPTH - 1)
     assert parse_section(deepest.replace("wait", "take a"), "behaviors").ok
@@ -390,6 +388,7 @@ def test_wide_shallow_input_parses(source, registry, cross4):
 
 # --- equivalence with the reference parser ----------------------------------------
 
+from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 from hypothesis import assume, example  # noqa: E402
@@ -476,11 +475,14 @@ def corpus_slices(draw):
     return "".join(chars)
 
 
+def parses(program_parser, section_parser, source):
+    """Every public parse of source."""
+    return [program_parser(source)] + [section_parser(source, kind) for kind in SECTION_KINDS]
+
+
 def outcomes(program_parser, section_parser, source):
     """Every public parse of source, AST positions and diagnostics included."""
-    return [repr(program_parser(source))] + [
-        repr(section_parser(source, kind)) for kind in SECTION_KINDS
-    ]
+    return [repr(result) for result in parses(program_parser, section_parser, source)]
 
 
 @given(st.one_of(operator_chains.map("X = {}\n".format), dsl_programs(), token_soup, corpus_slices()))
@@ -489,10 +491,27 @@ def outcomes(program_parser, section_parser, source):
 @example("ego = new Car at (1, 2,), with speed f(*a, k = [], )\n")
 @settings(max_examples=500, deadline=None)
 def test_same_asts_and_diagnostics_as_the_reference_parser(source):
+    """The reference recovers inside an open block and reports each later line
+    of it; this parser skips past the block, so after the first diagnostic it
+    reports a subsequence of the reference's."""
     assume(not has_non_finite_literal(source))
-    new = outcomes(parse_program, parse_section, source)
-    assume(TOO_DEEP not in new[0])
-    assert new == outcomes(reference_parse_program, reference_parse_section, source)
+    new = parses(parse_program, parse_section, source)
+    assume(TOO_DEEP not in repr(new[0]))
+    for ours, theirs in zip(new, parses(reference_parse_program, reference_parse_section, source)):
+        assert repr(replace(ours, diagnostics=[])) == repr(replace(theirs, diagnostics=[]))
+        mine, reference = map(repr, ours.diagnostics), iter(map(repr, theirs.diagnostics))
+        assert next(mine, None) == next(reference, None)
+        assert all(diagnostic in reference for diagnostic in mine)
+
+
+def test_an_error_inside_a_block_gives_one_diagnostic():
+    source = (
+        "behavior B():\n    interrupt when True:\n        take )\n        wait\n        wait\n"
+        "    wait\n"
+    )
+    assert [(d.message, d.line) for d in parse_section(source, "behaviors").diagnostics] == [
+        ("expected an expression, found ')'", 3)
+    ]
 
 
 @pytest.mark.parametrize("index", range(len(CORPUS)))

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from scenforge.scene import check_validity
+from scenforge.scene import _SceneEvaluator, check_validity
 from scenforge.scenic import (
     ModelRegistry,
     ast,
@@ -12,6 +14,7 @@ from scenforge.scenic import (
     parse_program,
     validate,
 )
+from scenforge.scenic.validator import BUILTIN_FUNCTIONS, BUILTIN_VALUES
 
 UNQUOTED_FRAGMENT = """\
 EGO_MODEL = 'vehicle.lincoln.mkz_2017'
@@ -289,3 +292,8 @@ def test_validator_leaves_a_non_finite_fold_to_the_scene(call, registry, cross4)
     assert messages(check_validity(source, registry, cross4, seed=1).diagnostics) == [
         f"execution failed: line 1: '*' gave a non-finite number ({result})"
     ]
+
+
+def test_the_scene_installs_exactly_the_builtins_the_validator_knows(cross4):
+    evaluator = _SceneEvaluator(ast.Program(), cross4, random.Random(0))
+    assert set(evaluator.env) == BUILTIN_VALUES | BUILTIN_FUNCTIONS
