@@ -446,7 +446,8 @@ class Gateway:
     def submit(self, fn, *args) -> Future:
         """Run ``fn(*args)`` on the gateway's pool. Tasks may make gateway
         calls but must not submit further tasks and wait on them: the pool
-        is bounded, so a task waiting on a queued task can deadlock it."""
+        is bounded, so a task waiting on a queued task can deadlock it.
+        A pipeline layer instead runs its queued stages on its own thread."""
         return self._pool.submit(fn, *args)
 
     def close(self) -> None:

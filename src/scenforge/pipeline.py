@@ -28,11 +28,14 @@ section prompt on the report, objects, answers and examples, never on
 another section's text. So a happy-path run waits on 4 sequential model
 round trips instead of 7 (6 without a retrieval store). The calling
 thread runs the first stage of each layer (objects, questions, answers,
-constants) and the gateway's pool runs the others beside it. After the
-last layer the sections are compiled and repaired on the calling thread
-in the fixed order constants, behaviors, spatial, so names flow from one
-section into the next and every repair prompt is the one a sequential
-run would send. Finalize then runs as a one-stage layer.
+constants), hands the others to the gateway's pool, and then runs each
+of those that no pool thread has started yet: a remote backend keeps it
+waiting long enough for the pool to start them, an instant one does not.
+After the last layer the sections are compiled and repaired on the
+calling thread in the fixed order constants, behaviors, spatial, so
+names flow from one section into the next and every repair prompt is
+the one a sequential run would send. Finalize then runs as a one-stage
+layer.
 
 Each stage records its calls in its own sink, and its trace is kept when
 the caller closes it: traces follow stage order, not arrival order. The
@@ -226,17 +229,21 @@ class _Stages:
         self._errors: dict[str, Exception] = {}
 
     def layer(self, *stages) -> None:
-        """Run ``(name, fn, *args)`` stages and wait for every one. Stages
-        2..N go to the gateway's pool and stage 1 runs on the calling
-        thread, which would otherwise sit idle until the layer joins.
-        Stages never fan out again, so the bounded pool cannot deadlock
-        on them."""
+        """Run ``(name, fn, *args)`` stages and wait for every one. Stage 1
+        runs on the calling thread and stages 2..N go to the gateway's
+        pool; then the caller runs, in order, each of those that no pool
+        thread has started, and waits for the rest. So a busy pool cannot
+        deadlock a layer, and a fast backend makes no thread handoff."""
         for name, *_ in stages:
             self.events[name] = []
         futures = [self.gateway.submit(self._call, *stage) for stage in stages[1:]]
         self._call(*stages[0])
+        for future, stage in zip(futures, stages[1:]):
+            if future.cancel():
+                self._call(*stage)
         for future in futures:
-            future.result()
+            if not future.cancelled():
+                future.result()
 
     def _call(self, name: str, fn, *args) -> None:
         with recording(self.events[name]):

@@ -11,9 +11,14 @@ import re
 from dataclasses import dataclass
 
 from .gateway import ConstraintSpec, PromptRequest
-from .scenic.ast import DIST_FUNCTIONS
+from .scenic.ast import DIST_FUNCTIONS, DISTRIBUTIONS
 
 FINAL_ANSWER_MARKER = "FINAL ANSWER:"
+
+# "Normal(mean, stddev)", ..., "Uniform(option, ...)": how prompts name the constructors
+DISTRIBUTION_SIGNATURES = tuple(
+    f"{name}({', '.join(params or ('option', '...'))})" for name, params in DISTRIBUTIONS.items()
+)
 
 LANGUAGE_TUTORIAL = """\
 You write scenario programs in a small probabilistic scene-description
@@ -165,9 +170,7 @@ class PromptFactory:
             "These answers were not parseable distribution assignments:\n"
             f"{listing}\n"
             "Rewrite only these answers, one per line, each in the exact "
-            "form NAME = Normal(mean, stddev) or NAME = "
-            "TruncatedNormal(mean, stddev, low, high) or NAME = Range(low, "
-            "high) or NAME = Uniform(option, ...)."
+            f"form {' or '.join(f'NAME = {sig}' for sig in DISTRIBUTION_SIGNATURES)}."
         )
         return request.followup(previous_text, reminder)
 

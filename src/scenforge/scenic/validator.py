@@ -148,6 +148,8 @@ class _Checker:
         starred = any(isinstance(a, ast.Starred) for a in node.args)
         if ast.DISTRIBUTIONS[name] and (starred or node.kwargs):
             self.error(f"{name} takes positional numeric arguments only", node)
+        elif node.kwargs:
+            self.error(f"{name} takes no keyword arguments", node)
         elif not starred:
             for message in ast.distribution_errors(name, [self._fold(a) for a in node.args]):
                 self.error(message, node)

@@ -39,11 +39,25 @@ TIMEOUT = 60  # seconds any test waits on its workers
 def test_happy_path_waits_on_four_round_trips(tmp_path, config, with_store):
     report = load_report(write_report(tmp_path))
     backend = SleepingBackend(happy_reply, REMOTE_DELAY)
+    threads: dict[str, set[int]] = {}
+    invoke = backend.invoke
+
+    def invoke_noting_thread(request):
+        threads.setdefault(request.stage_tag.rsplit("/", 1)[-1], set()).add(threading.get_ident())
+        return invoke(request)
+
+    backend.invoke = invoke_noting_thread
     retrieval = bundled_store() if with_store else None
     result = run_pipeline(report, config, Gateway(backend, cache=MemoryCache()), retrieval)
     assert result.success
     assert backend.call_count == (7 if with_store else 6)
     assert round_trips(backend.calls) == 4
+    # a pool thread starts each pooled stage while the caller waits on its
+    # own call, so the caller takes none of them over
+    caller = threading.get_ident()
+    assert {tag for tag, ran_on in threads.items() if ran_on != {caller}} == (
+        {"section:behaviors", "section:spatial"} | ({"hyde_draft"} if with_store else set())
+    )
 
 
 @pytest.mark.parametrize(
@@ -53,11 +67,11 @@ def test_the_caller_runs_one_stage_of_each_layer(tmp_path, config, monkeypatch,
                                                  with_store, submits):
     # layers: objects | draft, questions, answers, constants | behaviors | spatial
     report = load_report(write_report(tmp_path))
-    ran_on: dict[str, int] = {}
+    ran_on: list[tuple[str, int]] = []
 
     def traced(stage, key):
         def run(*args):
-            ran_on[key(args)] = threading.get_ident()
+            ran_on.append((key(args), threading.get_ident()))
             return stage(*args)
         return run
 
@@ -73,48 +87,98 @@ def test_the_caller_runs_one_stage_of_each_layer(tmp_path, config, monkeypatch,
     result = run_pipeline(report, config, gateway, bundled_store() if with_store else None)
     assert result.success
     assert len(submitted) == submits
+    # a pooled stage runs on whichever thread starts it first, and only once
+    stages = {"stage_objects", "stage_questions", "stage_answers"} | set(SECTION_KINDS)
+    assert sorted(name for name, _ in ran_on) == sorted(
+        stages | ({"_retrieve_examples"} if with_store else set())
+    )
     caller = threading.get_ident()
-    on_caller = {name for name, thread in ran_on.items() if thread == caller}
-    assert on_caller == {"stage_objects", "stage_questions", "stage_answers", "constants"}
-    pooled = {"behaviors", "spatial"} | ({"_retrieve_examples"} if with_store else set())
-    assert set(ran_on) - on_caller == pooled
+    on_caller = {name for name, thread in ran_on if thread == caller}
+    assert on_caller >= {"stage_objects", "stage_questions", "stage_answers", "constants"}
 
 
-def test_a_wide_layer_keeps_every_stage_value_error_and_call():
-    # pool threads store stage values, errors and calls in the run's one
-    # executor; a lost update would drop one of them
-    gateway = Gateway(SleepingBackend(lambda request: request.stage_tag, 0.0), cache=MemoryCache())
-    names = [f"s{i}" for i in range(12)]
-    failing = ("s3", "s7")
-
+def _layer_stage(gateway, failing, ran):
+    """A stage that asks the gateway for its own name, notes each run in
+    ``ran`` and raises the reply for a ``failing`` name."""
     def stage(name):
+        ran.append(name)
         text = gateway.complete(PromptRequest.single("m", "system", name, f"r/{name}")).text
         if name in failing:
             raise RuntimeError(text)
         return text
+    return stage
 
+
+def _assert_layer_kept(stages, names, failing):
+    passing = [name for name in names if name not in failing]
+    for name in passing:
+        assert stages.take(name) == f"r/{name}"
+        stages.close(name)
+    first, *rest = failing
+    with pytest.raises(pipeline._StageFailed, match=f"^{first}: RuntimeError: r/{first}$"):
+        stages.take(first)
+    assert [(t.stage, t.outcome) for t in stages.traces] == (
+        [(name, "ok") for name in passing] + [(first, "failed")]
+        + [(name, "skipped") for name in rest]
+    )
+    assert all(
+        [i.stage_tag for i in t.interactions] == [f"r/{t.stage}"] for t in stages.traces
+    )
+
+
+def test_a_wide_layer_keeps_every_stage_value_error_and_call():
+    # pool threads and the caller store stage values, errors and calls in
+    # the run's one executor; a lost update would drop one of them, and a
+    # stage both threads ran would show twice
+    gateway = Gateway(SleepingBackend(lambda request: request.stage_tag, 0.0), cache=MemoryCache())
+    names = [f"s{i}" for i in range(12)]
+    failing = ("s3", "s7")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-4)  # switch threads often, so races show
     try:
         for _ in range(20):
+            ran: list[str] = []
+            stage = _layer_stage(gateway, failing, ran)
             stages = pipeline._Stages(gateway)
             stages.layer(*[(name, stage, name) for name in names])
-            passing = [name for name in names if name not in failing]
-            for name in passing:
-                assert stages.take(name) == f"r/{name}"
-                stages.close(name)
-            with pytest.raises(pipeline._StageFailed, match="^s3: RuntimeError: r/s3$"):
-                stages.take("s3")
-            assert [(t.stage, t.outcome) for t in stages.traces] == (
-                [(name, "ok") for name in passing] + [("s3", "failed"), ("s7", "skipped")]
-            )
-            assert all(
-                [i.stage_tag for i in t.interactions] == [f"r/{t.stage}"]
-                for t in stages.traces
-            )
+            assert sorted(ran) == sorted(names)
+            _assert_layer_kept(stages, names, failing)
     finally:
         sys.setswitchinterval(interval)
         gateway.close()
+
+
+def test_a_layer_finishes_while_every_pool_thread_is_busy():
+    # the caller runs each stage that no pool thread has started, so a
+    # layer never waits behind other work on a full pool
+    gateway = Gateway(
+        SleepingBackend(lambda request: request.stage_tag, 0.0),
+        cache=MemoryCache(), max_concurrent=1,
+    )
+    started, release = threading.Event(), threading.Event()
+
+    def hold():
+        started.set()
+        release.wait(TIMEOUT)
+
+    blocker = gateway.submit(hold)
+    assert started.wait(TIMEOUT)
+    names, failing = ["s0", "s1", "s2"], ("s1",)
+    ran: list[str] = []
+    stage = _layer_stage(gateway, failing, ran)
+    stages = pipeline._Stages(gateway)
+    runner = threading.Thread(target=stages.layer, args=[(name, stage, name) for name in names])
+    runner.start()
+    try:
+        runner.join(5)
+        assert not runner.is_alive()
+    finally:
+        release.set()
+        runner.join(TIMEOUT)
+        blocker.result(TIMEOUT)
+        gateway.close()
+    assert ran == names
+    _assert_layer_kept(stages, names, failing)
 
 
 def test_constrained_baseline_waits_on_one_round_trip(tmp_path, config):

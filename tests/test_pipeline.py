@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from scenforge import prompts
 from scenforge.errors import BackendUnavailable, MarkerMissing, RepairExhausted
 from scenforge.gateway import Gateway, MemoryCache, PlaybackBackend
 from scenforge.pipeline import (
@@ -27,7 +28,7 @@ from scenforge.distributions import DistributionSpec
 from scenforge.reports import load_report
 from scenforge.retrieval import LocalHashEmbedder, VectorStore
 from scenforge.scene import check_validity
-from scenforge.scenic import compile_section, parse_expression
+from scenforge.scenic import ast, compile_section, parse_expression
 from support import (
     ANSWERS_REPLY,
     CONSTANTS_SECTION,
@@ -141,6 +142,26 @@ def test_stage_answers_reformat_reprompt_then_success(report, factory):
     by_label = {a.label: a for a in answers}
     assert by_label["BIKE_SPEED"].value == DistributionSpec.normal(10, 1)
     assert by_label["BIKE_SPEED"].source == "reprompt"
+
+
+def test_the_reformat_reminder_names_the_constructors_as_before(report, factory):
+    request = factory.answers_request(report, ["q"])
+    reminder = factory.answers_reformat(request, "reply", ["X = Normal(1 2)"]).messages[-1].content
+    assert reminder == (
+        "These answers were not parseable distribution assignments:\n"
+        "X = Normal(1 2)\n"
+        "Rewrite only these answers, one per line, each in the exact "
+        "form NAME = Normal(mean, stddev) or NAME = "
+        "TruncatedNormal(mean, stddev, low, high) or NAME = Range(low, "
+        "high) or NAME = Uniform(option, ...)."
+    )
+
+
+def test_the_tutorial_names_each_constructor_as_the_table_gives_it():
+    tutorial = " ".join(prompts.LANGUAGE_TUTORIAL.split())
+    assert len(prompts.DISTRIBUTION_SIGNATURES) == len(ast.DISTRIBUTIONS)
+    for name, signature in zip(ast.DISTRIBUTIONS, prompts.DISTRIBUTION_SIGNATURES):
+        assert signature.startswith(f"{name}(") and signature in tutorial
 
 
 def test_stage_answers_falls_back_to_range(report, factory):

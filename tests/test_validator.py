@@ -103,6 +103,20 @@ def test_distribution_arity_checked(registry):
     assert any("Uniform requires at least one option" in m for m in messages(diagnostics))
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("N = Normal(mean=10, stddev=1)", "Normal takes positional numeric arguments only"),
+        ("U = Uniform('a', k=1)", "Uniform takes no keyword arguments"),
+        ("U = Uniform(k=1)", "Uniform takes no keyword arguments"),
+    ],
+    ids=["fixed-parameters", "uniform", "uniform-keywords-only"],
+)
+def test_distribution_keywords_are_rejected_before_execution(registry, source, message):
+    _, diagnostics = compile_section(source, "constants", registry)
+    assert messages(diagnostics) == [message]
+
+
 def test_degenerate_range_is_legal(registry):
     _, diagnostics = compile_section("R = Range(10, 10)", "constants", registry)
     assert diagnostics == []
