@@ -36,7 +36,7 @@ ego = new Car at (0, 0)
 bike = new Bicycle following roadDirection from (0, 0) for -8
 """
 
-result = hyde_query(store, narrative, 3, embedder, lambda text: DRAFT)
+result = hyde_query(store, narrative, 3, embedder, DRAFT)
 print("\ntop 3 by draft (HyDE) similarity:")
 for scored in result.results:
     print(f"  {scored.score:6.3f}  {scored.entry.id}")

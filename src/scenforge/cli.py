@@ -197,7 +197,11 @@ def cmd_run_corpus(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    results = evalharness.load_results(args.results)
+    try:
+        results = evalharness.load_results(args.results)
+    except ScenForgeError as exc:
+        print(f"error: bad result file: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     if not results:
         print("error: no results found", file=sys.stderr)
         return USAGE_ERROR

@@ -105,5 +105,9 @@ class EmptyInput(ScenForgeError):
     """An aggregate was asked for zero results."""
 
 
+class MalformedResult(ScenForgeError):
+    """A persisted run's trace or validity file is not what a run writes."""
+
+
 class UnmatchedScore(ScenForgeError):
     """A human score references a report id with no run result."""

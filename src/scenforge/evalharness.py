@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import EmptyInput, OutOfRange, UnmatchedScore
+from .errors import EmptyInput, MalformedResult, OutOfRange, UnmatchedScore
 
 SCORE_MIN, SCORE_MAX = 1, 5
 
@@ -245,23 +245,39 @@ class RunRecord:
     validity: dict
 
 
+def _json_object(path: Path) -> dict:
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise MalformedResult(f"{path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise MalformedResult(f"{path}: not a JSON object")
+    return data
+
+
 def load_results(results_dir) -> list[RunRecord]:
-    """Load persisted runs (<id>.trace + <id>.validity) from a directory."""
+    """Load persisted runs (<id>.trace + <id>.validity) from a directory.
+    A file that is not what a run writes raises MalformedResult naming it."""
     directory = Path(results_dir)
     records = []
     for trace_path in sorted(directory.glob("*.trace")):
-        trace = json.loads(trace_path.read_text(encoding="utf-8"))
+        trace = _json_object(trace_path)
         validity_path = trace_path.with_suffix(".validity")
         if validity_path.is_file():
-            validity = json.loads(validity_path.read_text(encoding="utf-8"))
+            validity = _json_object(validity_path)
         else:
             validity = {"syntactic": False, "semantic": False, "executable": False}
+        report_id, strategy = trace.get("report_id"), trace.get("strategy", "unknown")
+        wall_seconds = trace.get("wall_seconds", 0.0)
+        if not (isinstance(report_id, str) and isinstance(strategy, str)
+                and isinstance(wall_seconds, (int, float))):
+            raise MalformedResult(f"{trace_path}: bad report_id, strategy or wall_seconds")
         records.append(
             RunRecord(
-                report_id=trace["report_id"],
-                strategy=trace.get("strategy", "unknown"),
+                report_id=report_id,
+                strategy=strategy,
                 success=bool(trace.get("success")),
-                wall_seconds=float(trace.get("wall_seconds", 0.0)),
+                wall_seconds=float(wall_seconds),
                 validity=validity,
             )
         )

@@ -8,11 +8,12 @@ twice, within a process or across runs sharing a cache directory. An
 identical request issued while the first is still in flight waits for
 that call and shares its reply (or its error) instead of making its own.
 
-Each interaction is recorded as a ``GatewayEvent`` into the sink that the
-calling context opened with ``recording``; calls made from other threads
-or tasks through the same gateway never land in it. ``Gateway.submit``
-runs independent work on a pool of ``max_concurrent`` threads owned by
-the gateway, for callers that fan requests out.
+Model calls are made by steps: generators (``ask``, ``ask_constrained``
+and whatever ``yield from`` them) that yield a ``Call`` and are sent its
+reply ``Completion``. ``Gateway.run`` drives steps on the calling thread
+and hands back each one's value or error and its own calls' records. A
+round's backend misses after the first go to a pool of ``max_concurrent``
+threads, which run nothing but ``backend.invoke`` and the cache put.
 
 Constrained generation is enforced at the text level: validate each
 output line against the section pattern, regenerate with a corrective
@@ -30,12 +31,12 @@ import os
 import re
 import threading
 import time
+from collections.abc import Generator
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TypeVar
 
 from .errors import BackendUnavailable, ConstraintUnsatisfiable, PlaybackMiss
 
@@ -103,17 +104,34 @@ class PromptRequest:
 
 
 @dataclass(frozen=True)
+class Call:
+    """What a step yields; ``digest`` ignores any constraint, as transcripts do."""
+
+    request: PromptRequest
+    key: str
+    digest: str
+
+
+@dataclass
 class Completion:
+    """One call's reply record, as traced."""
+
+    stage_tag: str
+    digest: str
     text: str
     token_count: int
     latency_seconds: float
     cache: str  # CACHE_HIT | CACHE_MISS | CACHE_JOINED
-    conformance: str | None = None  # set by complete_constrained
+    conformance: str | None = None  # last attempt of a constrained call
 
     @property
     def from_cache(self) -> bool:
         """True when this request made no backend call of its own."""
         return self.cache != CACHE_MISS
+
+
+T = TypeVar("T")
+Step = Generator[Call, Completion, T]  # yields Calls, is sent their replies, returns a T
 
 
 @dataclass(frozen=True)
@@ -129,40 +147,6 @@ class CacheEntry:
     key: str
     text: str
     token_count: int
-
-
-@dataclass
-class GatewayEvent:
-    """One backend or cache interaction. ``digest`` is the request's
-    digest without any constraint, the key a playback transcript uses."""
-
-    stage_tag: str
-    digest: str
-    text: str
-    token_count: int
-    latency_seconds: float
-    cache: str
-    conformance: str | None = None  # last attempt of a constrained call
-
-    @property
-    def from_cache(self) -> bool:
-        return self.cache != CACHE_MISS
-
-
-_sink: ContextVar[list | None] = ContextVar("scenforge_gateway_sink", default=None)
-
-
-@contextmanager
-def recording(sink: list):
-    """Append a GatewayEvent to ``sink`` for every gateway interaction
-    made in the current context, in order. Context variables do not
-    follow work handed to other threads, so a task that runs on a pool
-    opens its own sink."""
-    token = _sink.set(sink)
-    try:
-        yield sink
-    finally:
-        _sink.reset(token)
 
 
 def cache_key(request: PromptRequest, constraint: ConstraintSpec | None = None) -> str:
@@ -412,11 +396,7 @@ def _line_conforms(line: str, constraint: ConstraintSpec, pattern: re.Pattern) -
 
 class Gateway:
     """Backend access with content-addressed caching, single-flight
-    dedup of identical in-flight requests, and a worker pool for fan-out.
-
-    Every interaction is recorded into the sink of the calling context
-    (see ``recording``); the gateway keeps no log of its own.
-    """
+    dedup of identical in-flight requests, and ``run``, the step driver."""
 
     def __init__(
         self,
@@ -436,108 +416,139 @@ class Gateway:
         self._semaphore = threading.BoundedSemaphore(max_concurrent)
         self._inflight_lock = threading.Lock()
         self._inflight: dict[str, Future] = {}
-        # threads start on first submit and exit once the gateway is gone
+        # threads start on the first pooled call and exit once the gateway is gone
         self._pool = ThreadPoolExecutor(
             max_workers=max_concurrent, thread_name_prefix="scenforge-gateway"
         )
 
-    # -- plumbing ------------------------------------------------------
-
-    def submit(self, fn, *args) -> Future:
-        """Run ``fn(*args)`` on the gateway's pool. Tasks may make gateway
-        calls but must not submit further tasks and wait on them: the pool
-        is bounded, so a task waiting on a queued task can deadlock it.
-        A pipeline layer instead runs its queued stages on its own thread."""
-        return self._pool.submit(fn, *args)
-
     def close(self) -> None:
-        """Stop the pool's threads once the tasks already submitted finish.
-        A gateway that is dropped without ``close`` stops them when it is
-        garbage-collected."""
+        """Stop the pool's threads once the calls already pooled finish; a
+        dropped gateway stops them when collected. Later calls stay on the caller."""
         self._pool.shutdown()
 
-    def _execute(
-        self, request: PromptRequest, key: str, digest: str
-    ) -> tuple[Completion, GatewayEvent]:
-        start = time.perf_counter()
-        entry = self.cache.get(key)
-        if entry is not None:
-            text, tokens, cache = entry.text, entry.token_count, CACHE_HIT
-        else:
-            text, tokens, cache = self._single_flight(request, key)
-        latency = time.perf_counter() - start
-        event = GatewayEvent(request.stage_tag, digest, text, tokens, latency, cache)
-        sink = _sink.get()
-        if sink is not None:
-            sink.append(event)
-        return Completion(text, tokens, latency, cache), event
+    # -- the driver ------------------------------------------------------
 
-    def _single_flight(self, request: PromptRequest, key: str) -> tuple[str, int, str]:
-        """At most one backend call per key at a time. A request whose key
-        is already in flight waits for that call and shares its reply, or
-        re-raises its error."""
-        with self._inflight_lock:
-            flight = self._inflight.get(key)
-            leader = flight is None
-            if leader:
-                flight = self._inflight[key] = Future()
-        if not leader:
-            text, tokens = flight.result()
-            return text, tokens, CACHE_JOINED
-        try:
-            # a flight for this key may have landed since the caller's look
-            entry = self.cache.get(key)
+    def run(self, *steps) -> list[tuple]:
+        """Advance every step on the calling thread until it returns or
+        raises: a ``(value, error, records)`` triple per step, ``records``
+        being its calls' Completions in call order, one call per round. A
+        failed call is thrown into its step and records nothing."""
+        outcomes = [[None, None, []] for _ in steps]
+        replies = [None] * len(steps)
+        live = range(len(steps))
+        while live:
+            asked = []
+            for n in live:
+                resume = steps[n].throw if isinstance(replies[n], Exception) else steps[n].send
+                try:
+                    asked.append((n, resume(replies[n])))
+                except StopIteration as stop:
+                    outcomes[n][0] = stop.value
+                except Exception as exc:
+                    outcomes[n][1] = exc
+            live = [n for n, _ in asked]
+            for n, reply in zip(live, self._round([call for _, call in asked])):
+                replies[n] = reply
+                if isinstance(reply, Completion):
+                    outcomes[n][2].append(reply)
+        return [tuple(outcome) for outcome in outcomes]
+
+    def _round(self, calls: list[Call]) -> list:
+        """A Completion, or the error, per call. Hits are answered at once;
+        all misses go out before any flight is waited on: misses 2..N to the
+        pool, then the caller makes miss 1 and each pooled one not started."""
+        pending, misses = [], []
+        for call in calls:
+            start = time.perf_counter()
+            entry, cache = self.cache.get(call.key), CACHE_HIT
             if entry is not None:
-                reply, cache = (entry.text, entry.token_count), CACHE_HIT
+                reply = (entry.text, entry.token_count, time.perf_counter())
             else:
-                with self._semaphore:
-                    reply = self.backend.invoke(request)
-                self.cache.put(key, *reply)
-                cache = CACHE_MISS
+                with self._inflight_lock:
+                    reply, cache = self._inflight.get(call.key), CACHE_JOINED
+                    if reply is None:
+                        reply = self._inflight[call.key] = Future()
+                        cache = CACHE_MISS
+                if cache == CACHE_MISS:
+                    # a flight for this key may have landed since the look
+                    entry = self.cache.get(call.key)
+                    if entry is None:
+                        misses.append((call, reply))
+                    else:
+                        self._land(call.key, reply, (entry.text, entry.token_count))
+                        cache = CACHE_HIT
+            pending.append((call, start, cache, reply))
+        pooled = [self._offer(miss) for miss in misses[1:]]
+        for n, miss in enumerate(misses):
+            if n == 0 or pooled[n - 1].cancel():
+                self._fly(*miss)
+        replies = []
+        for call, start, cache, reply in pending:
+            try:
+                text, tokens, end = reply if isinstance(reply, tuple) else reply.result()
+            except Exception as exc:
+                replies.append(exc)
+            else:
+                replies.append(Completion(
+                    call.request.stage_tag, call.digest, text, tokens, end - start, cache
+                ))
+        return replies
+
+    def _offer(self, miss) -> Future:
+        try:
+            return self._pool.submit(self._fly, *miss)
+        except RuntimeError:  # closed: a future the caller can take back
+            return Future()
+
+    def _fly(self, call: Call, flight: Future) -> None:
+        """The backend call and cache put for ``call``, landing on ``flight``."""
+        try:
+            with self._semaphore:
+                reply = self.backend.invoke(call.request)
+            self.cache.put(call.key, *reply)
         except BaseException as exc:
-            flight.set_exception(exc)
-            raise
-        finally:
-            with self._inflight_lock:
-                del self._inflight[key]
-        flight.set_result(reply)
-        return reply[0], reply[1], cache
+            reply = exc
+        self._land(call.key, flight, reply)
 
-    # -- public operations ------------------------------------------------
+    def _land(self, key: str, flight: Future, reply) -> None:
+        with self._inflight_lock:
+            del self._inflight[key]
+        if isinstance(reply, BaseException):
+            flight.set_exception(reply)
+        else:
+            flight.set_result((*reply, time.perf_counter()))
 
-    def complete(self, request: PromptRequest) -> Completion:
-        """Cache-first completion; one backend call per novel request."""
+    # -- steps ---------------------------------------------------------------
+
+    def ask(self, request: PromptRequest) -> Step[Completion]:
+        """Step: the cache-first completion of ``request``."""
         key = cache_key(request)
-        return self._execute(request, key, key)[0]
+        return (yield Call(request, key, key))
 
-    def complete_constrained(
+    def ask_constrained(
         self, request: PromptRequest, constraint: ConstraintSpec
-    ) -> Completion:
-        """Completion whose every line matches the section pattern.
-
+    ) -> Step[Completion]:
+        """Step: a completion whose every line matches the section pattern.
         Up to the regeneration budget attempts; the final attempt drops
         nonconforming lines instead of failing. The conformance outcome
-        lands on the returned completion and on the last attempt's event.
-        """
+        lands on the returned completion and on the last attempt's record."""
         pattern = re.compile(constraint.line_pattern)
         budget = self.regeneration_budget
         current = request
         for attempt in range(1, budget + 1):
             digest = cache_key(current)
-            completion, event = self._execute(
-                current, _constrained_key(digest, constraint), digest
-            )
-            lines = _clean_lines(completion.text)
+            reply = yield Call(current, _constrained_key(digest, constraint), digest)
+            lines = _clean_lines(reply.text)
             bad = [
                 line for line in lines if not _line_conforms(line, constraint, pattern)
             ]
             nonempty = [line for line in lines if line.strip()]
             if not bad and len(nonempty) <= constraint.max_lines:
-                event.conformance = CONFORMED
-                return replace(completion, text="\n".join(lines), conformance=CONFORMED)
+                reply.conformance = CONFORMED
+                return replace(reply, text="\n".join(lines))
             if attempt < budget:
                 current = current.followup(
-                    completion.text,
+                    reply.text,
                     self._corrective_text(constraint, bad, attempt),
                 )
                 continue
@@ -545,12 +556,30 @@ class Gateway:
                 line for line in lines if line.strip() and line not in bad
             ][: constraint.max_lines]
             if kept:
-                event.conformance = FILTERED
-                return replace(completion, text="\n".join(kept), conformance=FILTERED)
+                reply.conformance = FILTERED
+                return replace(reply, text="\n".join(kept))
         raise ConstraintUnsatisfiable(
             f"no line conformed to the {constraint.section_kind} pattern "
             f"after {budget} attempt(s)"
         )
+
+    # -- one step at a time ----------------------------------------------------
+
+    def complete(self, request: PromptRequest) -> Completion:
+        """Cache-first completion; one backend call per novel request."""
+        return self._run_one(self.ask(request))
+
+    def complete_constrained(
+        self, request: PromptRequest, constraint: ConstraintSpec
+    ) -> Completion:
+        """``ask_constrained`` run on its own."""
+        return self._run_one(self.ask_constrained(request, constraint))
+
+    def _run_one(self, step: Step[T]) -> T:
+        [(value, error, _)] = self.run(step)
+        if error is not None:
+            raise error
+        return value
 
     @staticmethod
     def _corrective_text(constraint: ConstraintSpec, bad: list[str], attempt: int) -> str:

@@ -15,8 +15,9 @@ checked once: on `ast.program_of` of the compiled statements, the one
 rule that groups assignments by value, as parsing text does. Only a
 program repair's text is parsed again.
 
-One executor per run (`_Stages`) runs every strategy's model calls in
-layers, each joined before the next starts:
+Each stage that makes model calls is a step (see `gateway`). One
+executor per run (`_Stages`) runs every strategy's steps in layers
+through `Gateway.run`, each layer joined before the next starts:
 
     1. objects (with its reprompt)  |  HyDE draft and retrieval
     2. questions
@@ -26,31 +27,25 @@ layers, each joined before the next starts:
 A call depends only on earlier layers: the draft on the report alone, a
 section prompt on the report, objects, answers and examples, never on
 another section's text. So a happy-path run waits on 4 sequential model
-round trips instead of 7 (6 without a retrieval store). The calling
-thread runs the first stage of each layer (objects, questions, answers,
-constants), hands the others to the gateway's pool, and then runs each
-of those that no pool thread has started yet: a remote backend keeps it
-waiting long enough for the pool to start them, an instant one does not.
-After the last layer the sections are compiled and repaired on the
-calling thread in the fixed order constants, behaviors, spatial, so
-names flow from one section into the next and every repair prompt is
-the one a sequential run would send. Finalize then runs as a one-stage
-layer.
+round trips instead of 7 (6 without a retrieval store). All stage code
+runs on the calling thread; only backend calls may leave it. After the
+last layer the sections are compiled and repaired in the fixed order
+constants, behaviors, spatial, so names flow from one section into the
+next and every repair prompt is the one a sequential run would send.
+Finalize then runs as a one-stage layer.
 
-Each stage records its calls in its own sink, and its trace is kept when
-the caller closes it: traces follow stage order, not arrival order. The
-HyDE draft's trace closes after answers, a section's after its compile
-and repair. A stage's error, or a section that cannot be repaired, fails
-the run at that stage with the failure "<stage>: <why>". The stage is
-traced "failed", and every stage issued but not yet closed is traced
-"skipped" (the behaviors and spatial generations when the constants
-section cannot be repaired, the HyDE draft when objects fails); their
-replies are cached like any other.
+A stage's trace is kept when the caller closes it: traces follow stage
+order, not arrival order. A stage's error, or a section that cannot be
+repaired, fails the run at that stage with the failure "<stage>: <why>".
+The stage is traced "failed", and every stage issued but not yet closed
+is traced "skipped" (the behaviors and spatial generations when the
+constants section cannot be repaired, the HyDE draft when objects
+fails); their replies are cached like any other.
 
 Baseline strategies issue one-shot generations and never see compiler
 feedback; they exist for comparison runs. The constrained baseline's
 three section generations are one layer, traced and failed per section.
-A baseline's validity check is a one-stage layer, traced only when it
+A baseline's validity check is traced as stage "validity" only when it
 fails.
 """
 
@@ -78,7 +73,7 @@ from .errors import (
     RepairExhausted,
     ScenForgeError,
 )
-from .gateway import Gateway, recording
+from .gateway import Gateway, Step
 from .prompts import PromptFactory, extract_code, section_constraint
 from .retrieval import LocalHashEmbedder, VectorStore, hyde_query
 from .scene import ValidityReport, check_validity
@@ -149,7 +144,7 @@ class RetrievalSetup:
 @dataclass
 class StageTrace:
     stage: str
-    interactions: list  # GatewayEvent, in call order
+    interactions: list  # Completion records, in call order
     diagnostics_fed_back: list
     outcome: str
 
@@ -225,43 +220,36 @@ class _Stages:
         self.gateway = gateway
         self.traces: list[StageTrace] = []
         self.events: dict[str, list] = {}  # issued stage -> its calls, until closed
-        self._values: dict = {}
-        self._errors: dict[str, Exception] = {}
+        self._outcomes: dict[str, tuple] = {}  # stage -> (value, error)
 
     def layer(self, *stages) -> None:
-        """Run ``(name, fn, *args)`` stages and wait for every one. Stage 1
-        runs on the calling thread and stages 2..N go to the gateway's
-        pool; then the caller runs, in order, each of those that no pool
-        thread has started, and waits for the rest. So a busy pool cannot
-        deadlock a layer, and a fast backend makes no thread handoff."""
-        for name, *_ in stages:
-            self.events[name] = []
-        futures = [self.gateway.submit(self._call, *stage) for stage in stages[1:]]
-        self._call(*stages[0])
-        for future, stage in zip(futures, stages[1:]):
-            if future.cancel():
-                self._call(*stage)
-        for future in futures:
-            if not future.cancelled():
-                future.result()
+        """Run ``(name, step)`` stages together on the gateway's driver and
+        keep each one's calls, and its value or error for ``take``."""
+        outcomes = self.gateway.run(*(step for _, step in stages))
+        for (name, _), (value, error, calls) in zip(stages, outcomes):
+            self.events[name] = calls
+            self._outcomes[name] = (value, error)
 
-    def _call(self, name: str, fn, *args) -> None:
-        with recording(self.events[name]):
-            try:
-                self._values[name] = fn(*args)
-            except Exception as exc:  # fails the run when the caller takes it
-                self._errors[name] = exc
+    def extend(self, name: str, step):
+        """Run one more step of the issued stage ``name``, its calls traced
+        with the stage's: its value, or its error raised."""
+        [(value, error, calls)] = self.gateway.run(step)
+        self.events[name] += calls
+        if error is not None:
+            raise error
+        return value
 
     def take(self, name: str):
         """The stage's value; its error fails the run at ``name``."""
-        if name in self._errors:
-            self.fail(name, self._errors[name])
-        return self._values[name]
+        value, error = self._outcomes[name]
+        if error is not None:
+            self.fail(name, error)
+        return value
 
     def close(self, name: str, outcome: str = OUTCOME_OK, diagnostics=()) -> None:
         self.traces.append(StageTrace(
             stage=name,
-            interactions=self.events.pop(name),
+            interactions=self.events.pop(name, []),
             diagnostics_fed_back=[str(d) for d in diagnostics],
             outcome=outcome,
         ))
@@ -279,16 +267,16 @@ class _Stages:
 # --- stages -------------------------------------------------------------------
 
 
-def stage_objects(report, gateway: Gateway, factory: PromptFactory) -> list[str]:
+def stage_objects(report, gateway: Gateway, factory: PromptFactory) -> Step[list[str]]:
     """Three-expert object identification; parses the FINAL ANSWER block,
     reprompting once before giving up."""
     request = factory.objects_request(report)
-    completion = gateway.complete(request)
+    completion = yield from gateway.ask(request)
     items = prompts.parse_final_answer(completion.text)
     if items:
         return items
     followup = factory.objects_followup(request, completion.text)
-    completion = gateway.complete(followup)
+    completion = yield from gateway.ask(followup)
     items = prompts.parse_final_answer(completion.text)
     if items:
         return items
@@ -297,10 +285,10 @@ def stage_objects(report, gateway: Gateway, factory: PromptFactory) -> list[str]
     )
 
 
-def stage_questions(report, objects, gateway: Gateway, factory: PromptFactory) -> list[str]:
+def stage_questions(report, objects, gateway: Gateway, factory: PromptFactory) -> Step[list[str]]:
     """Property questions, padded with templates so speed/placement/type
     per object plus weather and road setting are always covered."""
-    completion = gateway.complete(factory.questions_request(report, objects))
+    completion = yield from gateway.ask(factory.questions_request(report, objects))
     questions = prompts.parse_questions(completion.text)
     return prompts.ensure_question_coverage(questions, objects)
 
@@ -341,18 +329,20 @@ def _parse_assignment_value(label: str, rhs: str):
     return rhs
 
 
-def stage_answers(report, questions, gateway: Gateway, factory: PromptFactory) -> list[Answer]:
+def stage_answers(
+    report, questions, gateway: Gateway, factory: PromptFactory
+) -> Step[list[Answer]]:
     """Expert answers: direct values or distributions. Unparseable
     distribution answers get one reformat reprompt, then a Range fallback
     over the facet default, so the stage is total."""
     request = factory.answers_request(report, questions)
-    completion = gateway.complete(request)
+    completion = yield from gateway.ask(request)
     answers, bad = _interpret_answers(prompts.parse_answers(completion.text))
     if bad:
         reprompt = factory.answers_reformat(
             request, completion.text, [f"{a.label} = {a.text}" for a in bad]
         )
-        retry = gateway.complete(reprompt)
+        retry = yield from gateway.ask(reprompt)
         fixed, _ = _interpret_answers(prompts.parse_answers(retry.text))
         fixed_by_label = {
             a.label: a for a in fixed if isinstance(a.value, DistributionSpec)
@@ -391,13 +381,13 @@ def render_answers(answers: list[Answer]) -> str:
 def stage_section(
     kind: str, report, objects, answers_block: str, examples,
     gateway: Gateway, factory: PromptFactory,
-) -> str:
+) -> Step[str]:
     """Constrained generation of one program section. An exhausted
     constraint budget yields an empty section, which the caller routes
     into repair rather than aborting the run."""
     request = factory.section_request(report, kind, objects, answers_block, examples)
     try:
-        completion = gateway.complete_constrained(request, section_constraint(kind))
+        completion = yield from gateway.ask_constrained(request, section_constraint(kind))
     except ConstraintUnsatisfiable:
         return ""
     return completion.text
@@ -426,7 +416,7 @@ def repair_section(
         request = factory.repair_request(
             report_id, kind, current_text, render_diagnostics(current_diags), attempt
         )
-        completion = gateway.complete(request)
+        completion = yield from gateway.ask(request)
         candidate = extract_code(completion.text)
         statements, diags = compile_section(
             candidate, kind, registry, env, known_behaviors,
@@ -457,7 +447,7 @@ def finalize(texts: dict, statements: list, config: PipelineConfig,
         request = factory.program_repair_request(
             report_id, program, render_diagnostics(validity.diagnostics), attempts
         )
-        completion = gateway.complete(request)
+        completion = yield from gateway.ask(request)
         program = extract_code(completion.text)
         validity = check_validity(program, *setting)
     return program, validity, attempts
@@ -467,17 +457,13 @@ def _has_store(retrieval: RetrievalSetup) -> bool:
     return retrieval.store is not None and len(retrieval.store) > 0
 
 
-def _retrieve_examples(report, config, gateway, factory, retrieval) -> list[str]:
+def _retrieve_examples(report, config, gateway, factory, retrieval) -> Step[list[str]]:
     """One HyDE retrieval per run: draft once, embed the draft, reuse the
     retrieved examples for all three section prompts."""
-
-    def draft_generator(_text: str) -> str:
-        request = factory.baseline_request(report, "hyde_draft", _fixed_examples())
-        return extract_code(gateway.complete(request).text)
-
+    request = factory.baseline_request(report, "hyde_draft", _fixed_examples())
+    draft = extract_code((yield from gateway.ask(request)).text)
     result = hyde_query(
-        retrieval.store, report.narrative, config.retrieval_k, retrieval.embedder,
-        draft_generator,
+        retrieval.store, report.narrative, config.retrieval_k, retrieval.embedder, draft
     )
     return [scored.entry.text for scored in result.results]
 
@@ -487,8 +473,7 @@ _FIXED_EXAMPLE_COUNT = 3
 
 @functools.cache
 def _fixed_examples() -> tuple[str, ...]:
-    # read once: file reads in a fanned-out draft task would hand the
-    # interpreter lock to other threads and delay the draft's backend call
+    # read once: six file reads per draft would delay each run's first round
     return tuple(text for _, text in example_programs()[:_FIXED_EXAMPLE_COUNT])
 
 
@@ -547,17 +532,17 @@ def _compose(stages: _Stages, report, config, retrieval):
     # but the draft's trace closes after answers
     draft = ()
     if _has_store(retrieval):
-        draft = (("retrieve", _retrieve_examples, report, config, gateway, factory, retrieval),)
-    stages.layer(("objects", stage_objects, report, gateway, factory), *draft)
+        draft = (("retrieve", _retrieve_examples(report, config, gateway, factory, retrieval)),)
+    stages.layer(("objects", stage_objects(report, gateway, factory)), *draft)
     objects = stages.take("objects")
     stages.close("objects")
     examples = stages.take("retrieve") if draft else []
 
     # layers 2 and 3: questions, then answers
-    stages.layer(("questions", stage_questions, report, objects, gateway, factory))
+    stages.layer(("questions", stage_questions(report, objects, gateway, factory)))
     questions = stages.take("questions")
     stages.close("questions")
-    stages.layer(("answers", stage_answers, report, questions, gateway, factory))
+    stages.layer(("answers", stage_answers(report, questions, gateway, factory)))
     answers = stages.take("answers")
     stages.close("answers")
     if draft:
@@ -566,8 +551,9 @@ def _compose(stages: _Stages, report, config, retrieval):
     # layer 4: every section generation at once
     answers_block = render_answers(answers)
     stages.layer(*(
-        (f"section:{kind}", stage_section, kind, report, objects, answers_block,
-         examples, gateway, factory)
+        (f"section:{kind}", stage_section(
+            kind, report, objects, answers_block, examples, gateway, factory
+        ))
         for kind in SECTION_KINDS
     ))
 
@@ -588,12 +574,11 @@ def _compose(stages: _Stages, report, config, retrieval):
                     section_first_line(texts, kind, text),
                 )
             if statements is None or has_errors(diags):
-                with recording(stages.events[stage]):
-                    text, statements, count = repair_section(
-                        kind, text, diags, gateway, factory,
-                        config.section_retry_budget, config.registry, env,
-                        behaviors_map, report.id, texts,
-                    )
+                text, statements, count = stages.extend(stage, repair_section(
+                    kind, text, diags, gateway, factory,
+                    config.section_retry_budget, config.registry, env,
+                    behaviors_map, report.id, texts,
+                ))
         except (RepairExhausted, GatewayError) as exc:
             stages.fail(stage, exc, getattr(exc, "diagnostics", diags))
         except Exception as exc:
@@ -609,8 +594,8 @@ def _compose(stages: _Stages, report, config, retrieval):
         )
 
     stages.layer((
-        "finalize", finalize, texts, program_statements, config, gateway, factory,
-        report.id,
+        "finalize",
+        finalize(texts, program_statements, config, gateway, factory, report.id),
     ))
     program, validity, program_repairs = stages.take("finalize")
     if not validity.valid:
@@ -648,29 +633,30 @@ def _baseline(stages: _Stages, strategy, report, config, retrieval):
     gateway, factory = stages.gateway, PromptFactory(config.model_id)
     if strategy == "constrained":
         layer = [
-            (f"section:{kind}", _baseline_section, kind, report, gateway, factory)
+            (f"section:{kind}", _baseline_section(kind, report, gateway, factory))
             for kind in SECTION_KINDS
         ]
     else:
-        layer = [(strategy, _one_shot, strategy, report, config, gateway, factory, retrieval)]
+        layer = [
+            (strategy, _one_shot(strategy, report, config, gateway, factory, retrieval))
+        ]
     stages.layer(*layer)
     texts = []
-    for name, *_ in layer:
+    for name, _ in layer:
         texts.append(stages.take(name))
         stages.close(name)
     if strategy == "constrained":
         program = stitch(dict(zip(SECTION_KINDS, texts)))
     else:
         (program,) = texts
-    # traced only when it fails, so it is never closed
-    stages.layer(
-        ("validity", check_validity, program, config.registry, config.network, config.seed)
-    )
-    validity = stages.take("validity")
+    try:
+        validity = check_validity(program, config.registry, config.network, config.seed)
+    except Exception as exc:  # traced only when it fails
+        stages.fail("validity", exc)
     return program, validity, None if validity.valid else "program failed the validity check"
 
 
-def _one_shot(strategy, report, config, gateway, factory, retrieval) -> str:
+def _one_shot(strategy, report, config, gateway, factory, retrieval) -> Step[str]:
     examples: list[str] = []
     if strategy == "few_shot":
         examples = list(_fixed_examples())
@@ -680,14 +666,14 @@ def _one_shot(strategy, report, config, gateway, factory, retrieval) -> str:
         )
         examples = [s.entry.text for s in scored]
     elif strategy == "rag_hyde" and _has_store(retrieval):
-        examples = _retrieve_examples(report, config, gateway, factory, retrieval)
-    completion = gateway.complete(factory.baseline_request(report, strategy, examples))
+        examples = yield from _retrieve_examples(report, config, gateway, factory, retrieval)
+    completion = yield from gateway.ask(factory.baseline_request(report, strategy, examples))
     return extract_code(completion.text)
 
 
-def _baseline_section(kind, report, gateway, factory) -> str:
+def _baseline_section(kind, report, gateway, factory) -> Step[str]:
     request = factory.baseline_section_request(report, kind)
-    return gateway.complete_constrained(request, section_constraint(kind)).text
+    return (yield from gateway.ask_constrained(request, section_constraint(kind))).text
 
 
 def run_report(

@@ -24,7 +24,6 @@ import re
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 from .errors import DimensionMismatch, EmptyStore, EmptyText
 
@@ -204,18 +203,12 @@ class HydeResult:
 
 
 def hyde_query(
-    store: VectorStore,
-    report_text: str,
-    k: int,
-    embedder,
-    draft_generator: Callable[[str], str],
+    store: VectorStore, report_text: str, k: int, embedder, draft: str
 ) -> HydeResult:
     """Retrieve by embedding a drafted program instead of the raw report.
 
-    The draft generator (typically a few-shot gateway call) maps the
-    report text to a hypothetical program; that draft, never the report,
-    is what gets embedded for the store lookup.
+    ``draft`` is a hypothetical program for the report text (typically a
+    few-shot model reply); the draft, never the report, is what gets
+    embedded for the store lookup.
     """
-    draft = draft_generator(report_text)
-    results = store.query_topk(draft, k, embedder)
-    return HydeResult(draft, results)
+    return HydeResult(draft, store.query_topk(draft, k, embedder))

@@ -262,6 +262,14 @@ class SleepingBackend:
         return text, len(text.split())
 
 
+def drive(gateway, step):
+    """Run one step alone on ``gateway``: its value, or its error raised."""
+    [(value, error, _)] = gateway.run(step)
+    if error is not None:
+        raise error
+    return value
+
+
 def round_trips(calls) -> int:
     """Sequential round trips: call intervals with overlapping ones merged."""
     count, reach = 0, float("-inf")

@@ -22,9 +22,17 @@ from scenforge.evalharness import (
     summarize,
 )
 from scenforge.gateway import Gateway, MemoryCache
-from scenforge.pipeline import PipelineConfig, run_pipeline, run_report
+from scenforge import pipeline
+from scenforge.pipeline import (
+    PipelineConfig,
+    PromptFactory,
+    RetrievalSetup,
+    run_pipeline,
+    run_report,
+)
+from scenforge.prompts import extract_code
 from scenforge.reports import AgentMention, ReportRecord, load_report
-from scenforge.retrieval import LocalHashEmbedder, VectorStore, hyde_query
+from scenforge.retrieval import LocalHashEmbedder, VectorStore
 from scenforge.distributions import DistributionSpec, sample_value
 from scenforge.scenic import (
     compile_section,
@@ -34,6 +42,7 @@ from scenforge.scenic import (
 )
 from support import (
     CallableBackend,
+    drive,
     happy_transcript,
     merge_transcripts,
     playback,
@@ -209,6 +218,7 @@ def test_criterion_06_retrieval_oracle():
 def test_criterion_07_hyde_contract():
     with criterion(7, "HyDE embeds the draft, never the report", 10.0):
         rng = random.Random(7)
+        config = PipelineConfig(retrieval_k=2)
         for trial in range(50):
             embedder = LocalHashEmbedder(64)
             calls: list[str] = []
@@ -227,12 +237,21 @@ def test_criterion_07_hyde_contract():
                 )
             report_text = f"report narrative {trial} {rng.random()}"
             draft_text = f"DRAFT_{trial} = {rng.randrange(100)}\nego = new Car at (0, 0)"
-            result = hyde_query(
-                store, report_text, 2, embedder, lambda text: draft_text
+            report = ReportRecord(
+                id=f"h{trial}", narrative=report_text, road_context="intersection",
+                dynamic_agents=(AgentMention("av"),),
             )
-            assert result.draft == draft_text
-            assert calls == [draft_text], "embedded something other than the draft"
+            gateway = Gateway(CallableBackend(lambda request: draft_text), cache=MemoryCache())
+            step = pipeline._retrieve_examples(
+                report, config, gateway, PromptFactory("m"), RetrievalSetup(store, embedder)
+            )
+            examples = drive(gateway, step)
+            draft = extract_code(draft_text)
+            assert calls == [draft], "embedded something other than the draft"
             assert report_text not in calls
+            assert examples == [
+                scored.entry.text for scored in store.query_vector(inner_embed(draft), 2)
+            ]
 
 
 def test_criterion_08_cache_soundness(tmp_path):

@@ -167,6 +167,26 @@ def test_eval_unknown_score_id_exits_two(report_path, transcript_path, tmp_path,
     assert "ghost" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suffix, content", [
+    (".trace", '{"report_id": "r1", "strat'),
+    (".trace", "[]"),
+    (".trace", '{"strategy": "x"}'),
+    (".validity", '{"syntactic": tr'),
+    (".validity", "[]"),
+], ids=["truncated-trace", "list-trace", "no-report-id", "truncated-validity", "list-validity"])
+def test_eval_malformed_result_file_exits_two(report_path, transcript_path, tmp_path,
+                                              capsys, suffix, content):
+    out = tmp_path / "results"
+    assert main(gen_scenic_args(report_path, transcript_path, out)) == 0
+    broken = out / f"r1{suffix}"
+    broken.write_text(content, encoding="utf-8")
+    code = main(["eval", "--results", str(out), "--out", str(tmp_path / "t")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad result file: ") and str(broken) in err
+    assert "Traceback" not in err
+
+
 def test_eval_empty_results_exits_two(tmp_path, capsys):
     code = main(["eval", "--results", str(tmp_path), "--out", str(tmp_path / "t")])
     assert code == 2

@@ -1,5 +1,7 @@
-"""Concurrency contracts: layered fan-out inside one run, single-flight
-dedup across runs, and per-run traces under a shared gateway."""
+"""Concurrency contracts: layered fan-out inside one run, where stage
+code stays on the calling thread and only backend calls leave it,
+single-flight dedup across steps and runs, and per-run traces under a
+shared gateway."""
 
 from __future__ import annotations
 
@@ -11,13 +13,14 @@ import pytest
 
 from scenforge import cli, pipeline
 from scenforge.errors import BackendUnavailable
-from scenforge.gateway import Gateway, MemoryCache, PromptRequest, recording
-from scenforge.pipeline import PipelineConfig, run_baseline, run_pipeline
+from scenforge.gateway import Gateway, MemoryCache, PromptRequest, cache_key
+from scenforge.pipeline import PipelineConfig, run_baseline, run_pipeline, run_report
 from scenforge.prompts import PromptFactory, section_constraint
 from scenforge.reports import AgentMention, ReportRecord, load_report
 from scenforge.scenic import SECTION_KINDS
 from support import (
     BICYCLE_NARRATIVE,
+    CallableBackend,
     SleepingBackend,
     bundled_store,
     happy_reply,
@@ -52,8 +55,8 @@ def test_happy_path_waits_on_four_round_trips(tmp_path, config, with_store):
     assert result.success
     assert backend.call_count == (7 if with_store else 6)
     assert round_trips(backend.calls) == 4
-    # a pool thread starts each pooled stage while the caller waits on its
-    # own call, so the caller takes none of them over
+    # a pool thread starts each pooled call while the caller makes its
+    # own, so the caller takes none of them over
     caller = threading.get_ident()
     assert {tag for tag, ran_on in threads.items() if ran_on != {caller}} == (
         {"section:behaviors", "section:spatial"} | ({"hyde_draft"} if with_store else set())
@@ -63,16 +66,24 @@ def test_happy_path_waits_on_four_round_trips(tmp_path, config, with_store):
 @pytest.mark.parametrize(
     "with_store, submits", [(True, 3), (False, 2)], ids=["store", "no-store"]
 )
-def test_the_caller_runs_one_stage_of_each_layer(tmp_path, config, monkeypatch,
-                                                 with_store, submits):
+def test_every_stage_runs_on_the_calling_thread(tmp_path, config, monkeypatch,
+                                                with_store, submits):
     # layers: objects | draft, questions, answers, constants | behaviors | spatial
     report = load_report(write_report(tmp_path))
-    ran_on: list[tuple[str, int]] = []
+    started: list[str] = []
+    resumed_on: set[int] = set()
 
     def traced(stage, key):
         def run(*args):
-            ran_on.append((key(args), threading.get_ident()))
-            return stage(*args)
+            started.append(key(args))
+            step, reply = stage(*args), None
+            while True:
+                resumed_on.add(threading.get_ident())
+                try:
+                    call = step.send(reply)
+                except StopIteration as stop:
+                    return stop.value
+                reply = yield call
         return run
 
     for name in ("stage_objects", "_retrieve_examples", "stage_questions", "stage_answers"):
@@ -82,34 +93,54 @@ def test_the_caller_runs_one_stage_of_each_layer(tmp_path, config, monkeypatch,
     monkeypatch.setattr(pipeline, "stage_section", traced(pipeline.stage_section, lambda args: args[0]))
     gateway = Gateway(SleepingBackend(happy_reply, 0.0), cache=MemoryCache())
     submitted = []
-    submit = gateway.submit
-    monkeypatch.setattr(gateway, "submit", lambda *args: submitted.append(args) or submit(*args))
+    submit = gateway._pool.submit
+    monkeypatch.setattr(gateway._pool, "submit", lambda *args: submitted.append(args) or submit(*args))
     result = run_pipeline(report, config, gateway, bundled_store() if with_store else None)
     assert result.success
+    # misses 2..N of a layer's round are offered to the pool
     assert len(submitted) == submits
-    # a pooled stage runs on whichever thread starts it first, and only once
+    # each stage runs once, and every resumption of it is on the caller
     stages = {"stage_objects", "stage_questions", "stage_answers"} | set(SECTION_KINDS)
-    assert sorted(name for name, _ in ran_on) == sorted(
-        stages | ({"_retrieve_examples"} if with_store else set())
-    )
-    caller = threading.get_ident()
-    on_caller = {name for name, thread in ran_on if thread == caller}
-    assert on_caller >= {"stage_objects", "stage_questions", "stage_answers", "constants"}
+    assert sorted(started) == sorted(stages | ({"_retrieve_examples"} if with_store else set()))
+    assert resumed_on == {threading.get_ident()}
+
+
+def test_a_run_on_a_warm_cache_submits_nothing_and_starts_no_thread(tmp_path, config):
+    report = load_report(write_report(tmp_path))
+    cache_dir = tmp_path / "cache"
+    cold = Gateway(SleepingBackend(happy_reply, 0.0), cache_dir=cache_dir)
+    assert run_report(report, config, cold, bundled_store()).success
+    cold.close()
+    gateway = Gateway(SleepingBackend(happy_reply, 0.0), cache_dir=cache_dir)
+    submitted = []
+    submit = gateway._pool.submit
+    gateway._pool.submit = lambda *args: submitted.append(args) or submit(*args)
+    before = set(threading.enumerate())
+    try:
+        result = run_report(report, config, gateway, bundled_store())
+        started = set(threading.enumerate()) - before
+    finally:
+        gateway.close()
+    assert result.success
+    assert {i.cache for t in result.traces for i in t.interactions} == {"hit"}
+    assert submitted == []
+    assert started == set()
 
 
 def _layer_stage(gateway, failing, ran):
-    """A stage that asks the gateway for its own name, notes each run in
+    """A step that asks the gateway for its own name, notes each run in
     ``ran`` and raises the reply for a ``failing`` name."""
     def stage(name):
         ran.append(name)
-        text = gateway.complete(PromptRequest.single("m", "system", name, f"r/{name}")).text
+        request = PromptRequest.single("m", "system", name, f"r/{name}")
+        text = (yield from gateway.ask(request)).text
         if name in failing:
             raise RuntimeError(text)
         return text
     return stage
 
 
-def _assert_layer_kept(stages, names, failing):
+def _assert_layer_kept(stages, names, failing, failed_calls_traced=True):
     passing = [name for name in names if name not in failing]
     for name in passing:
         assert stages.take(name) == f"r/{name}"
@@ -121,16 +152,17 @@ def _assert_layer_kept(stages, names, failing):
         [(name, "ok") for name in passing] + [(first, "failed")]
         + [(name, "skipped") for name in rest]
     )
-    assert all(
-        [i.stage_tag for i in t.interactions] == [f"r/{t.stage}"] for t in stages.traces
-    )
+    for trace in stages.traces:
+        traced = failed_calls_traced or trace.stage not in failing
+        assert [i.stage_tag for i in trace.interactions] == [f"r/{trace.stage}"] * traced
 
 
 def test_a_wide_layer_keeps_every_stage_value_error_and_call():
-    # pool threads and the caller store stage values, errors and calls in
-    # the run's one executor; a lost update would drop one of them, and a
-    # stage both threads ran would show twice
-    gateway = Gateway(SleepingBackend(lambda request: request.stage_tag, 0.0), cache=MemoryCache())
+    # pool threads and the caller land the replies of one round, which the
+    # caller hands to every step; a lost reply would hang or drop a step,
+    # and a call made twice would show twice
+    backend = SleepingBackend(lambda request: request.stage_tag, 0.0)
+    gateway = Gateway(backend, cache=MemoryCache())
     names = [f"s{i}" for i in range(12)]
     failing = ("s3", "s7")
     interval = sys.getswitchinterval()
@@ -140,44 +172,108 @@ def test_a_wide_layer_keeps_every_stage_value_error_and_call():
             ran: list[str] = []
             stage = _layer_stage(gateway, failing, ran)
             stages = pipeline._Stages(gateway)
-            stages.layer(*[(name, stage, name) for name in names])
-            assert sorted(ran) == sorted(names)
+            stages.layer(*[(name, stage(name)) for name in names])
+            assert ran == names
             _assert_layer_kept(stages, names, failing)
+            gateway.cache = MemoryCache()
+        assert backend.call_count == 20 * len(names)
     finally:
         sys.setswitchinterval(interval)
         gateway.close()
 
 
+def test_a_pooled_call_that_raises_fails_only_its_own_step():
+    failing = ("s3", "s7")
+
+    def respond(request):
+        if request.stage_tag.rpartition("/")[2] in failing:
+            raise RuntimeError(request.stage_tag)
+        return request.stage_tag
+
+    backend = SleepingBackend(respond, REMOTE_DELAY)
+    threads: dict[str, int] = {}
+    invoke = backend.invoke
+
+    def invoke_noting_thread(request):
+        threads[request.stage_tag] = threading.get_ident()
+        return invoke(request)
+
+    backend.invoke = invoke_noting_thread
+    gateway = Gateway(backend, cache=MemoryCache())
+    names = [f"s{i}" for i in range(6)] + ["s7"]
+    ran: list[str] = []
+    stages = pipeline._Stages(gateway)
+    try:
+        stages.layer(*[(name, _layer_stage(gateway, (), ran)(name)) for name in names])
+    finally:
+        gateway.close()
+    assert ran == names
+    assert {threads[f"r/{name}"] for name in failing} & {threading.get_ident()} == set()
+    _assert_layer_kept(stages, names, failing, failed_calls_traced=False)
+
+
+def test_a_closed_gateway_makes_a_layer_s_calls_on_its_caller():
+    backend = SleepingBackend(lambda request: request.stage_tag, 0.0)
+    gateway = Gateway(backend, cache=MemoryCache())
+    gateway.close()
+    requests = [PromptRequest.single("m", "system", name, f"r/{name}") for name in "ab"]
+    outcomes = gateway.run(*(gateway.ask(request) for request in requests))
+    assert [value.text for value, _, _ in outcomes] == ["r/a", "r/b"]
+    assert backend.call_count == 2
+    assert gateway.complete(requests[0]).from_cache
+
+
+class _ParkingCache(MemoryCache):
+    """A MemoryCache whose put for ``key`` parks until ``release``; the put
+    for ``wait_key`` waits until that has happened."""
+
+    def __init__(self, key, wait_key):
+        super().__init__()
+        self.key, self.wait_key = key, wait_key
+        self.parked, self.release = threading.Event(), threading.Event()
+
+    def put(self, key, text, token_count):
+        if key == self.key:
+            self.parked.set()
+            self.release.wait(TIMEOUT)
+        elif key == self.wait_key:
+            self.parked.wait(TIMEOUT)
+        super().put(key, text, token_count)
+
+
 def test_a_layer_finishes_while_every_pool_thread_is_busy():
-    # the caller runs each stage that no pool thread has started, so a
-    # layer never waits behind other work on a full pool
-    gateway = Gateway(
-        SleepingBackend(lambda request: request.stage_tag, 0.0),
-        cache=MemoryCache(), max_concurrent=1,
-    )
-    started, release = threading.Event(), threading.Event()
-
-    def hold():
-        started.set()
-        release.wait(TIMEOUT)
-
-    blocker = gateway.submit(hold)
-    assert started.wait(TIMEOUT)
+    # the caller makes each pooled call that no pool thread has started,
+    # so a layer never waits behind other work on a full pool. The one
+    # pool thread is held by a pooled call parked in its cache put, after
+    # its backend call: a parked backend call would hold the one backend
+    # slot that max_concurrent=1 leaves every other call
+    first = PromptRequest.single("m", "system", "first", "h/first")
+    hold = PromptRequest.single("m", "system", "hold", "h/hold")
+    cache = _ParkingCache(key=cache_key(hold), wait_key=cache_key(first))
+    backend = SleepingBackend(lambda request: request.stage_tag, 0.0)
+    gateway = Gateway(backend, cache=cache, max_concurrent=1)
+    holder = threading.Thread(target=gateway.run, args=(gateway.ask(first), gateway.ask(hold)))
+    holder.start()
     names, failing = ["s0", "s1", "s2"], ("s1",)
     ran: list[str] = []
     stage = _layer_stage(gateway, failing, ran)
     stages = pipeline._Stages(gateway)
-    runner = threading.Thread(target=stages.layer, args=[(name, stage, name) for name in names])
-    runner.start()
+    runner = threading.Thread(target=stages.layer, args=[(name, stage(name)) for name in names])
     try:
+        assert cache.parked.wait(TIMEOUT)
+        runner.start()
         runner.join(5)
         assert not runner.is_alive()
+        assert not cache.release.is_set()
     finally:
-        release.set()
+        cache.release.set()
         runner.join(TIMEOUT)
-        blocker.result(TIMEOUT)
+        holder.join(TIMEOUT)
         gateway.close()
     assert ran == names
+    assert sorted(tag for tag, _, _ in backend.calls) == [
+        "h/first", "h/hold", "r/s0", "r/s1", "r/s2",
+    ]
     _assert_layer_kept(stages, names, failing)
 
 
@@ -194,10 +290,9 @@ def test_constrained_baseline_waits_on_one_round_trip(tmp_path, config):
     replay = Gateway(SleepingBackend(happy_reply, 0.0), cache=MemoryCache())
     expected = []
     for kind in SECTION_KINDS:
-        with recording([]) as events:
-            replay.complete_constrained(
-                factory.baseline_section_request(report, kind), section_constraint(kind)
-            )
+        [(_, _, events)] = replay.run(replay.ask_constrained(
+            factory.baseline_section_request(report, kind), section_constraint(kind)
+        ))
         expected.append((f"section:{kind}", "ok", [untimed(e) for e in events]))
     assert [
         (t.stage, t.outcome, [untimed(e) for e in t.interactions]) for t in result.traces
@@ -241,8 +336,7 @@ def test_concurrent_identical_requests_share_one_backend_call():
 
     def call(_):
         barrier.wait(timeout=10)
-        with recording([]) as events:
-            completion = gateway.complete(request)
+        [(completion, _, events)] = gateway.run(gateway.ask(request))
         return completion, events
 
     with ThreadPoolExecutor(max_workers=6) as pool:
@@ -253,6 +347,16 @@ def test_concurrent_identical_requests_share_one_backend_call():
     assert caches.count("miss") == 1
     assert set(caches) <= {"miss", "joined", "hit"}
     assert sum(not completion.from_cache for completion, _ in outcomes) == 1
+
+
+def test_two_steps_asking_one_request_make_one_call():
+    backend = CallableBackend(lambda request: "reply")
+    gateway = Gateway(backend, cache=MemoryCache())
+    request = PromptRequest.single("m", "sys", "same prompt", "r1/objects")
+    outcomes = gateway.run(gateway.ask(request), gateway.ask(request))
+    assert backend.call_count == 1
+    assert [value.text for value, _, _ in outcomes] == ["reply", "reply"]
+    assert [[i.cache for i in events] for _, _, events in outcomes] == [["miss"], ["joined"]]
 
 
 def test_leader_error_reaches_every_joiner():

@@ -21,7 +21,6 @@ from scenforge.gateway import (
     PromptRequest,
     RemoteBackend,
     cache_key,
-    recording,
 )
 from scenforge.pipeline import run_report
 from scenforge.prompts import section_constraint
@@ -148,14 +147,18 @@ def test_a_run_over_malformed_cache_entries_succeeds_and_repairs_them(tmp_path, 
 
 def test_events_record_interactions():
     gateway = Gateway(CallableBackend(lambda req: "one"), cache=MemoryCache())
-    with recording([]) as events:
-        gateway.complete(request())
-        gateway.complete(request())
+
+    def ask_twice():
+        yield from gateway.ask(request())
+        yield from gateway.ask(request())
+
+    [(_, error, events)] = gateway.run(ask_twice())
+    assert error is None
     assert len(events) == 2
     assert [e.from_cache for e in events] == [False, True]
     assert [e.cache for e in events] == ["miss", "hit"]
     assert events[0].stage_tag == "r1/objects"
-    gateway.complete(request())  # outside the sink: not recorded
+    gateway.complete(request())  # another run: not recorded
     assert len(events) == 2
 
 
@@ -219,10 +222,9 @@ def test_conforming_output_accepted_verbatim():
     gateway = Gateway(
         CallableBackend(lambda req: "EGO_SPEED = 10"), cache=MemoryCache()
     )
-    with recording([]) as events:
-        completion = gateway.complete_constrained(
-            request(), section_constraint("constants")
-        )
+    [(completion, _, events)] = gateway.run(
+        gateway.ask_constrained(request(), section_constraint("constants"))
+    )
     assert completion.text == "EGO_SPEED = 10"
     assert completion.conformance == "verbatim"
     assert events[-1].conformance == "verbatim"
@@ -231,10 +233,9 @@ def test_conforming_output_accepted_verbatim():
 def test_prose_line_stripped_code_kept():
     reply = "Sure! Here is the code:\nEGO_SPEED = 10"
     gateway = Gateway(CallableBackend(lambda req: reply), cache=MemoryCache())
-    with recording([]) as events:
-        completion = gateway.complete_constrained(
-            request(), section_constraint("constants")
-        )
+    [(completion, _, events)] = gateway.run(
+        gateway.ask_constrained(request(), section_constraint("constants"))
+    )
     assert completion.text == "EGO_SPEED = 10"
     assert completion.conformance == "filtered"
     assert events[-1].conformance == "filtered"

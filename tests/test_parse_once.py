@@ -39,7 +39,7 @@ from scenforge.scenic import (
     section_names,
     stitch,
 )
-from support import CallableBackend, bench_module, happy_reply
+from support import CallableBackend, bench_module, drive, happy_reply
 
 SEEDS = (0, 1, 2)
 REGISTRY = bundled_registry()
@@ -75,7 +75,8 @@ def first_check(texts: dict, statements: list, seed: int):
     )
     gateway = Gateway(CallableBackend(lambda request: ""), cache=MemoryCache())
     try:
-        return finalize(texts, statements, config, gateway, PromptFactory("m"), "r")[1]
+        step = finalize(texts, statements, config, gateway, PromptFactory("m"), "r")
+        return drive(gateway, step)[1]
     finally:
         gateway.close()
 

@@ -37,6 +37,7 @@ from support import (
     SPATIAL_SECTION,
     CallableBackend,
     bench_module,
+    drive,
     happy_transcript,
     has_non_finite_literal,
     playback,
@@ -70,14 +71,14 @@ def gateway_for(transcript_or_backend):
 
 def test_stage_objects_parses_final_answer(report, factory):
     gateway = gateway_for({"r1/objects": [OBJECTS_REPLY]})
-    objects = stage_objects(report, gateway, factory)
+    objects = drive(gateway, stage_objects(report, gateway, factory))
     assert objects == ["Cruise AV", "Bicyclist"]
 
 
 def test_stage_objects_excludes_expert_only_candidates(report, factory):
     # fender and intersection appear in expert lists but not the final block
     gateway = gateway_for({"r1/objects": [OBJECTS_REPLY]})
-    objects = stage_objects(report, gateway, factory)
+    objects = drive(gateway, stage_objects(report, gateway, factory))
     assert not any("fender" in o.lower() for o in objects)
     assert not any("intersection" in o.lower() for o in objects)
 
@@ -86,19 +87,21 @@ def test_stage_objects_reprompts_once_for_marker(report, factory):
     gateway = gateway_for(
         {"r1/objects": ["chatty reply without the block", "FINAL ANSWER:\n1. Cruise AV"]}
     )
-    objects = stage_objects(report, gateway, factory)
+    objects = drive(gateway, stage_objects(report, gateway, factory))
     assert objects == ["Cruise AV"]
 
 
 def test_stage_objects_marker_missing_after_reprompt(report, factory):
     gateway = gateway_for({"r1/objects": ["nope", "still nope"]})
     with pytest.raises(MarkerMissing):
-        stage_objects(report, gateway, factory)
+        drive(gateway, stage_objects(report, gateway, factory))
 
 
 def test_stage_questions_appends_templates_for_missing_facets(report, factory):
     gateway = gateway_for({"r1/questions": ["1. What color is the sky?"]})
-    questions = stage_questions(report, ["Cruise AV", "Bicyclist"], gateway, factory)
+    questions = drive(
+        gateway, stage_questions(report, ["Cruise AV", "Bicyclist"], gateway, factory)
+    )
     lowered = " | ".join(q.lower() for q in questions)
     for facet_hint in ("speed", "position", "type"):
         assert facet_hint in lowered
@@ -110,20 +113,20 @@ def test_stage_questions_deduplicates_case_insensitively(report, factory):
     gateway = gateway_for(
         {"r1/questions": ["1. What was the weather?\n2. WHAT WAS THE WEATHER?"]}
     )
-    questions = stage_questions(report, [], gateway, factory)
+    questions = drive(gateway, stage_questions(report, [], gateway, factory))
     weather = [q for q in questions if "weather" in q.lower()]
     assert len(weather) == 1
 
 
 def test_stage_questions_zero_model_questions_still_covered(report, factory):
     gateway = gateway_for({"r1/questions": [""]})
-    questions = stage_questions(report, ["Cruise AV"], gateway, factory)
+    questions = drive(gateway, stage_questions(report, ["Cruise AV"], gateway, factory))
     assert len(questions) >= 5  # 3 facets + weather + road
 
 
 def test_stage_answers_parses_distributions_and_directs(report, factory):
     gateway = gateway_for({"r1/answers": [ANSWERS_REPLY]})
-    answers = stage_answers(report, ["q"], gateway, factory)
+    answers = drive(gateway, stage_answers(report, ["q"], gateway, factory))
     by_label = {a.label: a for a in answers}
     assert by_label["BIKE_SPEED"].value == DistributionSpec.normal(10, 1)
     assert by_label["weather"].value == "clear"
@@ -138,7 +141,7 @@ def test_stage_answers_reformat_reprompt_then_success(report, factory):
             ]
         }
     )
-    answers = stage_answers(report, ["q"], gateway, factory)
+    answers = drive(gateway, stage_answers(report, ["q"], gateway, factory))
     by_label = {a.label: a for a in answers}
     assert by_label["BIKE_SPEED"].value == DistributionSpec.normal(10, 1)
     assert by_label["BIKE_SPEED"].source == "reprompt"
@@ -173,7 +176,7 @@ def test_stage_answers_falls_back_to_range(report, factory):
             ]
         }
     )
-    answers = stage_answers(report, ["q"], gateway, factory)
+    answers = drive(gateway, stage_answers(report, ["q"], gateway, factory))
     (answer,) = [a for a in answers if a.label == "BIKE_SPEED"]
     assert answer.source == "fallback"
     assert answer.value == DistributionSpec.uniform_range(0.0, 20.0)
@@ -197,10 +200,10 @@ def test_repair_section_fixes_unquoted_model(report, factory, config):
             ]
         }
     )
-    text, statements, attempts = repair_section(
+    text, statements, attempts = drive(gateway, repair_section(
         "constants", CONSTANTS_SECTION_UNQUOTED_TRUCK, diagnostics, gateway,
         factory, budget=5, registry=config.registry, report_id="r1",
-    )
+    ))
     assert attempts == 1
     assert "'vehicle.carlamotors.carlacola'" in text
     assert statements is not None
@@ -209,10 +212,10 @@ def test_repair_section_fixes_unquoted_model(report, factory, config):
 def test_repair_zero_budget_raises_immediately(report, factory, config):
     gateway = gateway_for({})
     with pytest.raises(RepairExhausted):
-        repair_section(
+        drive(gateway, repair_section(
             "constants", "X = ", [], gateway, factory, budget=0,
             registry=config.registry, report_id="r1",
-        )
+        ))
 
 
 def test_repair_exhausts_after_exactly_budget_attempts(report, factory, config):
@@ -220,10 +223,10 @@ def test_repair_exhausts_after_exactly_budget_attempts(report, factory, config):
     gateway = Gateway(backend, cache=MemoryCache())
     _, diagnostics = compile_section("X = ", "constants", config.registry)
     with pytest.raises(RepairExhausted):
-        repair_section(
+        drive(gateway, repair_section(
             "constants", "X = ", diagnostics, gateway, factory, budget=4,
             registry=config.registry, report_id="r1",
-        )
+        ))
     assert backend.call_count == 4
 
 
@@ -238,10 +241,10 @@ def test_repair_prompt_carries_compiler_message(report, factory, config):
     _, diagnostics = compile_section(
         "TRUCK_MODEL = vehicle.carlamotors.carlacola", "constants", config.registry
     )
-    repair_section(
+    drive(gateway, repair_section(
         "constants", "TRUCK_MODEL = vehicle.carlamotors.carlacola", diagnostics,
         gateway, factory, budget=1, registry=config.registry, report_id="r1",
-    )
+    ))
     prompt = prompts_seen[0]
     assert "name 'vehicle' is not defined" in prompt
     assert "output a modified version" in prompt

@@ -8,14 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenforge import retrieval
+from scenforge import pipeline, retrieval
 from scenforge.errors import DimensionMismatch, EmptyStore, EmptyText
+from scenforge.gateway import Gateway, MemoryCache
+from scenforge.pipeline import PipelineConfig, PromptFactory, RetrievalSetup
+from scenforge.reports import load_report
 from scenforge.retrieval import (
     LocalHashEmbedder,
     VectorStore,
     dot,
     hyde_query,
 )
+from support import CallableBackend, drive, write_report
 
 
 def brute_force_topk(entries, query, k):
@@ -288,7 +292,7 @@ def test_hyde_embeds_the_draft_not_the_report():
         "the AV was rear-ended at an intersection",
         1,
         embedder,
-        draft_generator=lambda text: "ego = new Car at (0, 0)",
+        "ego = new Car at (0, 0)",
     )
     assert result.draft == "ego = new Car at (0, 0)"
     assert embedder.calls == ["ego = new Car at (0, 0)"]
@@ -301,19 +305,25 @@ def test_hyde_draft_identical_to_stored_example_ranks_first():
     store.upsert("other", "truck = new Truck on road", embedder)
     result = hyde_query(
         store, "whatever report", 1, embedder,
-        draft_generator=lambda text: "SPEED = Normal(10, 1)\nego = new Car at (0, 0)",
+        "SPEED = Normal(10, 1)\nego = new Car at (0, 0)",
     )
     assert result.results[0].entry.id == "match"
 
 
-def test_hyde_draft_failure_prevents_query():
+def test_hyde_draft_failure_prevents_query(tmp_path):
+    # the pipeline's retrieval step queries the store only with a draft
     embedder = InstrumentedEmbedder()
     store = VectorStore(dimension=64)
     store.upsert("ex", "ego = new Car at (0, 0)", embedder.inner)
 
-    def broken(text: str) -> str:
+    def broken(request):
         raise RuntimeError("draft backend down")
 
+    gateway = Gateway(CallableBackend(broken), cache=MemoryCache())
+    step = pipeline._retrieve_examples(
+        load_report(write_report(tmp_path)), PipelineConfig(), gateway,
+        PromptFactory("m"), RetrievalSetup(store, embedder),
+    )
     with pytest.raises(RuntimeError, match="draft backend down"):
-        hyde_query(store, "report", 1, embedder, broken)
+        drive(gateway, step)
     assert embedder.calls == []
