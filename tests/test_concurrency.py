@@ -183,23 +183,24 @@ def test_a_wide_layer_keeps_every_stage_value_error_and_call():
 
 
 def test_a_pooled_call_that_raises_fails_only_its_own_step():
+    # the caller's own call waits until the failing calls have started on
+    # pool threads, so they are pooled calls, not ones the caller took back
     failing = ("s3", "s7")
+    started: dict[str, int] = {}
+    both_started = threading.Event()
 
     def respond(request):
-        if request.stage_tag.rpartition("/")[2] in failing:
+        name = request.stage_tag.rpartition("/")[2]
+        if name in failing:
+            started[name] = threading.get_ident()
+            if len(started) == len(failing):
+                both_started.set()
             raise RuntimeError(request.stage_tag)
+        if name == "s0":
+            both_started.wait(TIMEOUT)
         return request.stage_tag
 
-    backend = SleepingBackend(respond, REMOTE_DELAY)
-    threads: dict[str, int] = {}
-    invoke = backend.invoke
-
-    def invoke_noting_thread(request):
-        threads[request.stage_tag] = threading.get_ident()
-        return invoke(request)
-
-    backend.invoke = invoke_noting_thread
-    gateway = Gateway(backend, cache=MemoryCache())
+    gateway = Gateway(SleepingBackend(respond, 0.0), cache=MemoryCache())
     names = [f"s{i}" for i in range(6)] + ["s7"]
     ran: list[str] = []
     stages = pipeline._Stages(gateway)
@@ -208,7 +209,7 @@ def test_a_pooled_call_that_raises_fails_only_its_own_step():
     finally:
         gateway.close()
     assert ran == names
-    assert {threads[f"r/{name}"] for name in failing} & {threading.get_ident()} == set()
+    assert both_started.is_set() and threading.get_ident() not in started.values()
     _assert_layer_kept(stages, names, failing, failed_calls_traced=False)
 
 
